@@ -114,23 +114,33 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, spec: AttentionSpec,
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
-    """(..., seq, seq) bias with entry (m, n) = q_m . e[clip(m - n)]."""
+    """(..., seq, seq) bias with entry (m, n) = q_m . e[clip(m - n)].
+
+    The R = r_max - r_min + 1 bucket scores q_m . e_r are one product of
+    q with the embedding table; each pair then picks its bucket's score.
+    The backward sums the incoming gradient over each row's bucket runs
+    (contiguous, see :class:`ShawLayout`) into a (..., seq, R) gradient
+    and pushes that through the same product. Cost is O(seq * R * d) for
+    the products plus one O(seq^2) gather and one O(seq^2) reduction; no
+    (seq, seq, d) array is built.
+    """
     q = _wrap(q)
     seq, dim = q.data.shape[-2], q.data.shape[-1]
     if dim != shaw.dim:
         raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.dim}")
     emb = shaw.key_embeddings.tensor
-    index = shaw.index_matrix(seq)
-    gathered = emb.data[index]  # (seq, seq, dim)
-    data = np.einsum("...md,mnd->...mn", q.data, gathered)
+    layout = shaw.layout(seq)
+    buckets = shaw.buckets
+    scores = (q.data @ emb.data.T).reshape(-1, seq * buckets)
+    data = np.take(scores, layout.gather, axis=1).reshape(q.data.shape[:-1] + (seq,))
 
     def grad_fn(g):
-        gq = np.einsum("...mn,mnd->...md", g, gathered)
-        g_flat = g.reshape(-1, seq, seq)
-        q_flat = q.data.reshape(-1, seq, dim)
-        per_pair = np.einsum("bmn,bmd->mnd", g_flat, q_flat)
-        gemb = np.zeros_like(emb.data)
-        np.add.at(gemb, index.reshape(-1), per_pair.reshape(-1, dim))
+        g_runs = np.add.reduceat(g.reshape(-1, seq * seq), layout.run_starts, axis=1)
+        g_scores = np.zeros_like(scores)
+        g_scores[:, layout.run_buckets] = g_runs
+        g_scores = g_scores.reshape(-1, seq, buckets)
+        gq = (g_scores @ emb.data).reshape(q.data.shape)
+        gemb = g_scores.reshape(-1, buckets).T @ q.data.reshape(-1, dim)
         return gq, gemb
 
     return tape_op(data, (q, emb), grad_fn, name="shaw_score_bias")

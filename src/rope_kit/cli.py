@@ -18,9 +18,9 @@ import numpy as np
 from . import analysis, attention, rotary
 from .errors import ConfigurationError, DataError, NumericError, RopeKitError
 from .harness import (
+    ByteLM,
     ModelConfig,
     TrainConfig,
-    build_model,
     compare_runs,
     format_table,
     train,
@@ -406,7 +406,7 @@ def cmd_train(args) -> int:
     )
     print(f"seed: {train_config.seed}")
     print(f"model: {model_config}")
-    model = build_model(model_config, Rng(train_config.seed))
+    model = ByteLM(model_config, Rng(train_config.seed))
     print(f"parameters: {model.parameter_count()}")
     metrics = train(model, train_config)
     print(f"initial loss: {metrics[0][1]:.4f}")

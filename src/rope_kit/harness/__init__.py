@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import RunComparison, compare_runs, format_table, read_metrics
-from .model import ByteLM, ModelConfig, build_model
+from .model import ByteLM, ModelConfig
 from .train import AdamState, TrainConfig, load_corpus, resume, train, train_from_scratch
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "ModelConfig",
     "RunComparison",
     "TrainConfig",
-    "build_model",
     "compare_runs",
     "format_table",
     "load_checkpoint",

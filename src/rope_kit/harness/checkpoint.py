@@ -91,7 +91,7 @@ def save_checkpoint(path, model, adam, rng: Rng) -> None:
 
 def load_checkpoint(path):
     """Returns (model, adam_state, rng, step) rebuilt from the file."""
-    from .model import ModelConfig, build_model
+    from .model import ByteLM, ModelConfig
     from .train import AdamState
 
     with open(path, "rb") as fh:
@@ -108,7 +108,7 @@ def load_checkpoint(path):
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         stored = dict(_read_tensor(fh) for _ in range(count))
 
-    model = build_model(config, Rng(0))  # throwaway stream; weights come from the file
+    model = ByteLM(config, Rng(0))  # throwaway stream; weights come from the file
     adam = AdamState(model, step=step)
     for p in model.params:
         for prefix, target in (("", None), ("adam.m:", adam.m), ("adam.v:", adam.v)):

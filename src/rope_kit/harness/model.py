@@ -37,7 +37,7 @@ from ..numerics import (
 )
 from ..rotary import RotaryEncoder, apply_rotary_rows
 
-__all__ = ["ModelConfig", "ByteLM", "build_model", "SHAW_CLIP_RADIUS"]
+__all__ = ["ModelConfig", "ByteLM", "SHAW_CLIP_RADIUS"]
 
 SHAW_CLIP_RADIUS = 16
 FFN_MULT = 4
@@ -218,7 +218,3 @@ class ByteLM:
         if self.rotary is not None:
             return rope_linear_attention(q, k, v, self.rotary, feature_map, causal=True)
         return linear_attention(q, k, v, feature_map, causal=True)
-
-
-def build_model(config: ModelConfig, rng: Rng) -> ByteLM:
-    return ByteLM(config, rng)

@@ -17,7 +17,7 @@ from ..errors import ConfigurationError, DataError, NumericError
 from ..numerics import Rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import METRICS_HEADER
-from .model import ByteLM, ModelConfig, build_model
+from .model import ByteLM, ModelConfig
 
 __all__ = [
     "Corpus",
@@ -148,7 +148,7 @@ def train(model: ByteLM, config: TrainConfig) -> list[tuple[int, float]]:
 def train_from_scratch(model_config: ModelConfig,
                        config: TrainConfig) -> list[tuple[int, float]]:
     """Build with the run seed, then train: one call for the common case."""
-    model = build_model(model_config, Rng(config.seed))
+    model = ByteLM(model_config, Rng(config.seed))
     return train(model, config)
 
 

@@ -17,9 +17,9 @@ from rope_kit.attention import (
     similarity_attention,
 )
 from rope_kit.harness import (
+    ByteLM,
     ModelConfig,
     TrainConfig,
-    build_model,
     compare_runs,
     format_table,
     load_checkpoint,
@@ -196,7 +196,7 @@ def test_criterion_09_full_model_gradient():
     start = time.perf_counter()
     config = ModelConfig(d_model=16, heads=2, layers=1, context_len=8,
                          pos_encoding="rope", precision=64)
-    model = build_model(config, Rng(SEED + 7))
+    model = ByteLM(config, Rng(SEED + 7))
     data_rng = Rng(SEED + 8)
     x = np.array([[data_rng.randint(256) for _ in range(8)] for _ in range(2)])
     y = np.array([[data_rng.randint(256) for _ in range(8)] for _ in range(2)])

@@ -1,6 +1,7 @@
 """Attention kernels against hand arithmetic and brute-force references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,53 @@ class TestShawBias:
 
         err = grad_check(f, [q, rel.key_embeddings], Rng(12), samples=15)
         assert err < 1e-6
+
+    def test_batched_heads_match_manual_loop(self):
+        # seq 9 with clip radius 2: both clipped end buckets and every
+        # interior bucket occur, and in rows near the ends some are absent.
+        rng = Rng(40)
+        rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
+        q = rng.normal_array((2, 2, 9, 4))
+        bias = shaw_score_bias(Tensor(q), rel).data
+        assert bias.shape == (2, 2, 9, 9)
+        for b in range(2):
+            for h in range(2):
+                for m in range(9):
+                    for n in range(9):
+                        e = rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
+                        assert abs(bias[b, h, m, n] - q[b, h, m] @ e) < 1e-12
+
+    def test_batched_heads_gradient(self):
+        rng = Rng(41)
+        rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
+        q = Parameter("q", rng.normal_array((2, 2, 9, 4)))
+        w = Tensor(rng.normal_array((2, 2, 9, 9)))
+
+        def f():
+            return tensor_sum(shaw_score_bias(q.tensor, rel) * w)
+
+        err = grad_check(f, [q, rel.key_embeddings], Rng(42), samples=60)
+        assert err < 1e-6
+
+    def test_dim_mismatch_rejected(self):
+        rel = ShawRelative(-2, 2, 4, Rng(43))
+        with pytest.raises(DimensionError):
+            shaw_score_bias(Tensor(np.zeros((3, 6))), rel)
+
+    def test_memory_peak_at_long_context(self):
+        # The bias must come from the 33 per-bucket scores, never from a
+        # (seq, seq, dim) gather; that gather alone is 32 MB here.
+        rng = Rng(44)
+        rel = ShawRelative(-16, 16, 32, rng, dtype=np.float32)
+        q = Parameter("q", rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            tensor_sum(shaw_score_bias(q.tensor, rel)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.gradient.shape == (1, 2, 512, 32)
+        assert peak < 16 * 2**20
 
 
 class TestLinearAttention:

@@ -9,9 +9,9 @@ import pytest
 from rope_kit.errors import ConfigurationError, DataError, NumericError
 from rope_kit.harness import (
     AdamState,
+    ByteLM,
     ModelConfig,
     TrainConfig,
-    build_model,
     compare_runs,
     format_table,
     load_checkpoint,
@@ -87,24 +87,24 @@ class TestModelConfig:
 
 class TestBuildModel:
     def test_same_seed_same_parameters(self):
-        a = build_model(tiny_config(), Rng(7))
-        b = build_model(tiny_config(), Rng(7))
+        a = ByteLM(tiny_config(), Rng(7))
+        b = ByteLM(tiny_config(), Rng(7))
         for pa, pb in zip(a.params, b.params):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_different_seed_differs(self):
-        a = build_model(tiny_config(), Rng(7))
-        b = build_model(tiny_config(), Rng(8))
+        a = ByteLM(tiny_config(), Rng(7))
+        b = ByteLM(tiny_config(), Rng(8))
         assert not np.array_equal(a.params[0].data, b.params[0].data)
 
     def test_parameter_count_positive(self):
-        model = build_model(tiny_config(), Rng(0))
+        model = ByteLM(tiny_config(), Rng(0))
         assert model.parameter_count() == sum(p.data.size for p in model.params)
 
     @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
     def test_initial_loss_near_uniform(self, pos_encoding):
-        model = build_model(tiny_config(pos_encoding=pos_encoding), Rng(1))
+        model = ByteLM(tiny_config(pos_encoding=pos_encoding), Rng(1))
         rng = Rng(2)
         x = np.array([[rng.randint(256) for _ in range(8)] for _ in range(4)])
         y = np.array([[rng.randint(256) for _ in range(8)] for _ in range(4)])
@@ -120,7 +120,7 @@ class TestBuildModel:
         ("linear-softmax", "sinusoidal"),
     ])
     def test_full_model_gradients(self, variant, pos_encoding):
-        model = build_model(
+        model = ByteLM(
             tiny_config(attention_variant=variant, pos_encoding=pos_encoding), Rng(3)
         )
         rng = Rng(4)

@@ -218,6 +218,17 @@ class TestElementwise:
         assert abs(out[1] - 100.0) < 1e-10
         assert abs(out[2]) < 1e-10
 
+    def test_gelu_float32_matches_float64_formula(self):
+        x = np.linspace(-10.0, 10.0, 2001).astype(np.float32)
+        c = math.sqrt(2.0 / math.pi)
+        x64 = x.astype(np.float64)
+        expected = 0.5 * x64 * (1.0 + np.tanh(c * (x64 + 0.044715 * x64**3)))
+        out = gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        # On the negative tail 1 + tanh cancels, so float32 keeps only an
+        # absolute error there: one float32 spacing at the range's edge.
+        np.testing.assert_allclose(out, expected, rtol=1e-6, atol=np.spacing(np.float32(10.0)))
+
     def test_rmsnorm_unit_rms(self):
         rng = Rng(8)
         x = rng.normal_array((6, 16), scale=3.0)
