@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import Tensor, as_array, elu_plus_one, exp, matmul, softmax_rows, tape_op, transpose
-from .rotary import RotaryEncoder, rotate_pairs
+from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
 
 __all__ = [
     "AttentionSpec",
@@ -244,30 +244,16 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
 def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
                                 feature_map: str = "elu", causal: bool = False,
                                 positions: np.ndarray | None = None) -> LinearAttentionParts:
+    """Parts of :func:`rope_linear_attention`; row t sits at position t
+    unless ``positions`` gives one position per row."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    seq = _check_qkv(q, k, v)
-    if q.data.shape[-1] != encoder.dim:
-        raise DimensionError(f"vector dim {q.data.shape[-1]} != rotary dim {encoder.dim}")
+    _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
     if positions is None:
-        positions = np.arange(seq)
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.shape != (seq,):
-        raise DimensionError(f"positions shape {positions.shape} != ({seq},)")
-    cos, sin = encoder.tables(int(positions.max(initial=0)))
-    cos_rows = cos[positions].astype(q.data.dtype, copy=False)
-    sin_rows = sin[positions].astype(q.data.dtype, copy=False)
-
-    def rotate(t: Tensor) -> Tensor:
-        rotated = t.data * cos_rows + rotate_pairs(t.data) * sin_rows
-
-        def grad_fn(g):
-            return (g * cos_rows - rotate_pairs(g) * sin_rows,)
-
-        return tape_op(rotated, (t,), grad_fn, name="rotate_rows")
-
-    pq_rot, pk_rot = rotate(pq), rotate(pk)
+        pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
+    else:
+        pq_rot, pk_rot = apply_rotary(encoder, pq, positions), apply_rotary(encoder, pk, positions)
     out, num, den = _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
     return LinearAttentionParts(output=out, numerator=num, denominator=den)
 
@@ -295,11 +281,8 @@ def rope_weight_sign_stats(q, k, encoder: RotaryEncoder, feature_map: str = "elu
         raise DimensionError(f"expected (seq, dim) inputs, got {qa.shape} and {ka.shape}")
     seq = qa.shape[0]
     phi, varphi = feature_map_pair(feature_map)
-    cos, sin = encoder.tables(seq - 1)
-    phi_q = phi(Tensor(qa)).data
-    varphi_k = varphi(Tensor(ka)).data
-    pq = phi_q * cos[:seq] + rotate_pairs(phi_q) * sin[:seq]
-    pk = varphi_k * cos[:seq] + rotate_pairs(varphi_k) * sin[:seq]
+    pq = apply_rotary_rows(encoder, phi(Tensor(qa)).data)
+    pk = apply_rotary_rows(encoder, varphi(Tensor(ka)).data)
     weights = pq @ pk.T
     if causal:
         weights = weights[causal_mask(seq)]

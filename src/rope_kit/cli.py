@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,18 +28,6 @@ from .numerics import Parameter, Rng, Tensor, grad_check, matmul, softmax_rows, 
 
 USAGE_EXIT = 2
 CHECK_EXIT = 1
-
-
-def worker_threads() -> int:
-    """Thread cap from ROPE_KIT_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("ROPE_KIT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"ROPE_KIT_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigurationError(f"ROPE_KIT_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +224,10 @@ def cmd_verify(args) -> int:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     print(f"seed: {args.seed}")
     master = Rng(args.seed)
-    jobs = [
-        (name, fn, master.spawn(i), dims, args.trials)
+    results = [
+        _run_suite(name, fn, master.spawn(i), dims, args.trials)
         for i, (name, fn) in enumerate(VERIFY_SUITES)
     ]
-    with ThreadPoolExecutor(max_workers=worker_threads()) as pool:
-        futures = [pool.submit(_run_suite, *job) for job in jobs]
-        results = [f.result() for f in futures]
     width = max(len(name) for name, _ in VERIFY_SUITES) + 2
     failures = 0
     for name, ok, detail, elapsed in results:
@@ -305,13 +289,12 @@ def cmd_bench(args) -> int:
     encoder = rotary.RotaryEncoder(args.dim, args.seq)
     x = rng.normal_array((args.seq, args.dim))
     matrices = np.stack([rotary.dense_rotation_matrix(schedule, m) for m in range(args.seq)])
-    cos, sin = encoder.tables(args.seq - 1)
 
     def dense_pass():
         return np.einsum("tij,tj->ti", matrices, x)
 
     def sparse_pass():
-        return x * cos[: args.seq] + rotary.rotate_pairs(x) * sin[: args.seq]
+        return rotary.apply_rotary_rows(encoder, x)
 
     gap = float(np.abs(dense_pass() - sparse_pass()).max())
     if gap >= 1e-12:

@@ -19,11 +19,14 @@ Layout (all integers little-endian):
 Model parameters come first in registry order, then the Adam moments as
 "adam.m:<name>" / "adam.v:<name>". Loading rebuilds the model from the
 config text and overwrites every array bytewise, so a resumed run
-continues the exact trajectory of an uninterrupted one.
+continues the exact trajectory of an uninterrupted one. Saving writes a
+temporary file beside the target and renames it over the target, so a
+failed save leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -73,20 +76,27 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
 
 def save_checkpoint(path, model, adam, rng: Rng) -> None:
     config_text = model.config.to_text().encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", adam.step))
-        fh.write(struct.pack("<Q", rng.seed))
-        fh.write(struct.pack("<Q", rng.state))
-        fh.write(struct.pack("<I", len(config_text)))
-        fh.write(config_text)
-        tensors = [(p.name, p.data) for p in model.params]
-        tensors += [(f"adam.m:{name}", arr) for name, arr in adam.m.items()]
-        tensors += [(f"adam.v:{name}", arr) for name, arr in adam.v.items()]
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            _write_tensor(fh, name, arr)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", adam.step))
+            fh.write(struct.pack("<Q", rng.seed))
+            fh.write(struct.pack("<Q", rng.state))
+            fh.write(struct.pack("<I", len(config_text)))
+            fh.write(config_text)
+            tensors = [(p.name, p.data) for p in model.params]
+            tensors += [(f"adam.m:{name}", arr) for name, arr in adam.m.items()]
+            tensors += [(f"adam.v:{name}", arr) for name, arr in adam.v.items()]
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors:
+                _write_tensor(fh, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..attention import (
-    POS_ENCODINGS,
-    VARIANTS,
     AttentionSpec,
     linear_attention,
     rope_linear_attention,
@@ -62,16 +60,9 @@ class ModelConfig:
             raise ConfigurationError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
             )
+        self.attention_spec()
         if self.context_len < 2:
             raise ConfigurationError(f"context_len must be >= 2, got {self.context_len}")
-        if self.attention_variant not in VARIANTS:
-            raise ConfigurationError(f"unknown attention variant {self.attention_variant!r}")
-        if self.pos_encoding not in POS_ENCODINGS:
-            raise ConfigurationError(f"unknown position encoding {self.pos_encoding!r}")
-        if self.pos_encoding == "rope" and self.head_dim % 2 != 0:
-            raise ConfigurationError(
-                f"rotary encoding needs an even head_dim, got {self.head_dim}"
-            )
         if self.pos_encoding == "shaw" and self.attention_variant != "softmax":
             raise ConfigurationError(
                 "clipped-relative encoding is a score-level term; it needs softmax attention"
@@ -84,6 +75,11 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
+
+    def attention_spec(self) -> AttentionSpec:
+        """The causal attention each layer runs; validates the attention fields."""
+        return AttentionSpec(self.heads, self.head_dim, self.attention_variant,
+                             self.pos_encoding, causal=True)
 
     def to_text(self) -> str:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
@@ -139,13 +135,7 @@ class ByteLM:
         self._matrix("lm_head", rng, (d, config.vocab))
         self.by_name = {p.name: p for p in self.params}
 
-        self._spec = AttentionSpec(
-            heads=config.heads,
-            head_dim=hd,
-            variant=config.attention_variant,
-            pos_encoding=config.pos_encoding,
-            causal=True,
-        )
+        self._spec = config.attention_spec()
 
     def _matrix(self, name: str, rng: Rng, shape) -> None:
         self.params.append(

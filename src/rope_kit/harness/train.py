@@ -3,7 +3,9 @@
 A run is a pure function of (seed, configs, corpus bytes): batches are
 drawn from the run's own Rng stream and the metrics file is written with
 round-trippable floats, so reruns produce byte-identical artifacts and a
-checkpoint resume continues the exact same trajectory.
+checkpoint resume continues the exact same trajectory. A resume into the
+run's own metrics file appends to it, so the file ends up byte-identical
+to that of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from ..errors import ConfigurationError, DataError, NumericError
 from ..numerics import Rng
 from .checkpoint import load_checkpoint, save_checkpoint
-from .compare import METRICS_HEADER
+from .compare import METRICS_HEADER, read_metrics
 from .model import ByteLM, ModelConfig
 
 __all__ = [
@@ -114,8 +116,17 @@ def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
                config: TrainConfig, start_step: int) -> list[tuple[int, float]]:
     metrics: list[tuple[int, float]] = []
     seq = model.config.context_len
-    with open(config.metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
+    append = start_step > 0 and os.path.exists(config.metrics_path)
+    if append:
+        steps, _ = read_metrics(config.metrics_path)
+        if not np.array_equal(steps, np.arange(1, start_step + 1)):
+            raise DataError(
+                f"{config.metrics_path}: rows are not steps 1..{start_step} (last step "
+                f"{steps[-1]}), so a resume from step {start_step} cannot append to it"
+            )
+    with open(config.metrics_path, "a" if append else "w", encoding="utf-8") as fh:
+        if not append:
+            fh.write(METRICS_HEADER + "\n")
         for step in range(start_step + 1, config.steps + 1):
             x, y = _sample_batch(corpus, rng, config.batch_size, seq)
             model.zero_grad()

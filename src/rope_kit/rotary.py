@@ -70,6 +70,11 @@ def _rotate(x: np.ndarray, cos_row: np.ndarray, sin_row: np.ndarray) -> np.ndarr
     return x * cos_row + rotate_pairs(x) * sin_row
 
 
+def _pair_cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin of each angle, repeated for both members of its pair."""
+    return np.repeat(np.cos(angles), 2, axis=-1), np.repeat(np.sin(angles), 2, axis=-1)
+
+
 class RotaryEncoder:
     """Cached cos/sin tables for applying the rotation at integer positions.
 
@@ -95,9 +100,7 @@ class RotaryEncoder:
 
     def _build(self, max_pos: int, start: int = 0, carry=None):
         positions = np.arange(start, max_pos, dtype=np.float64)
-        angles = positions[:, None] * self.schedule.thetas[None, :]
-        cos = np.repeat(np.cos(angles), 2, axis=1)
-        sin = np.repeat(np.sin(angles), 2, axis=1)
+        cos, sin = _pair_cos_sin(positions[:, None] * self.schedule.thetas[None, :])
         if carry is not None:
             cos = np.concatenate([carry[0], cos], axis=0)
             sin = np.concatenate([carry[1], sin], axis=0)
@@ -121,29 +124,36 @@ class RotaryEncoder:
                 self._tables = self._build(grown, start=tables[0].shape[0], carry=tables)
             return self._tables
 
-    def cos_sin(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        cos, sin = self.tables(m)
-        return cos[m], sin[m]
+
+def _shape(x) -> tuple[int, ...]:
+    return np.shape(x.data if isinstance(x, Tensor) else x)
 
 
-def apply_rotary(enc: RotaryEncoder, x, m: int):
-    """Rotate the last axis of ``x`` (pairs of coordinates) to position m.
+def apply_rotary(enc: RotaryEncoder, x, positions):
+    """Rotate the last axis of ``x`` (pairs of coordinates) to ``positions``.
 
-    Accepts a Tensor (joins the gradient tape; the backward pass is the
-    inverse rotation) or any array-like (plain numpy in, numpy out).
-    Norms are preserved exactly up to rounding.
+    ``positions`` is an int, the position of every vector in ``x``, or a
+    non-negative integer array with one entry per row of the
+    second-to-last axis: row t goes to ``positions[t]``. Accepts a Tensor
+    (joins the gradient tape; the backward pass is the inverse rotation)
+    or any array-like (plain numpy in, numpy out). Norms are preserved
+    exactly up to rounding.
     """
-    cos_row, sin_row = enc.cos_sin(m)
-    return _apply_tables(x, cos_row, sin_row, enc.dim)
+    positions = np.asarray(positions)
+    if positions.dtype.kind not in "iu":
+        raise ConfigurationError(f"positions must be integers, got dtype {positions.dtype}")
+    rows = _shape(x)[-2:-1]
+    if positions.ndim and positions.shape != rows:
+        raise DimensionError(f"positions shape {positions.shape} != rows {rows}")
+    if (positions < 0).any():
+        raise ConfigurationError(f"positions must be non-negative, got {positions.min()}")
+    cos, sin = enc.tables(int(positions.max(initial=0)))
+    return _apply_tables(x, cos[positions], sin[positions], enc.dim)
 
 
 def apply_rotary_rows(enc: RotaryEncoder, x):
     """Rotate row t of the second-to-last axis to position t."""
-    if isinstance(x, Tensor):
-        seq = x.data.shape[-2]
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        seq = x.shape[-2]
+    seq = _shape(x)[-2]
     cos, sin = enc.tables(seq - 1)
     return _apply_tables(x, cos[:seq], sin[:seq], enc.dim)
 
@@ -194,10 +204,8 @@ def rope_score(q, k, m: int, n: int, schedule: ThetaSchedule) -> float:
         raise DimensionError(
             f"expected vectors of length {schedule.dim}, got {qa.shape} and {ka.shape}"
         )
-    cos_m = np.repeat(np.cos(m * schedule.thetas), 2)
-    sin_m = np.repeat(np.sin(m * schedule.thetas), 2)
-    cos_n = np.repeat(np.cos(n * schedule.thetas), 2)
-    sin_n = np.repeat(np.sin(n * schedule.thetas), 2)
+    cos_m, sin_m = _pair_cos_sin(m * schedule.thetas)
+    cos_n, sin_n = _pair_cos_sin(n * schedule.thetas)
     return float(_rotate(qa, cos_m, sin_m) @ _rotate(ka, cos_n, sin_n))
 
 

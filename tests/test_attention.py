@@ -23,7 +23,7 @@ from rope_kit.attention import _linear_core
 from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import Parameter, Rng, Tensor, grad_check, tensor_sum
-from rope_kit.rotary import RotaryEncoder, apply_rotary
+from rope_kit.rotary import RotaryEncoder, apply_rotary, dense_rotation_matrix, make_schedule
 
 
 def elu1(x):
@@ -324,6 +324,35 @@ class TestRopeLinearAttention:
         assert 0.0 <= stats["negative_fraction"] <= 1.0
         if stats["negative_fraction"] > 0:
             assert stats["min_weight"] < 0
+
+    def test_wrong_shape_positions_rejected(self):
+        rng = Rng(27)
+        q, k, v = rand_qkv(rng, 5, 4)
+        with pytest.raises(DimensionError):
+            rope_linear_attention(q, k, v, RotaryEncoder(4), "elu", positions=np.arange(4))
+
+    def test_negative_positions_rejected(self):
+        # a negative index would otherwise wrap to the end of the cos/sin table
+        rng = Rng(28)
+        q, k, v = rand_qkv(rng, 4, 4)
+        with pytest.raises(ConfigurationError):
+            rope_linear_attention(q, k, v, RotaryEncoder(4), "elu",
+                                  positions=np.array([-1, 0, 1, 2]))
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_sign_stats_match_dense_rotation(self, causal):
+        rng = Rng(29)
+        q, k = rng.normal_array((12, 8)), rng.normal_array((12, 8))
+        stats = rope_weight_sign_stats(q, k, RotaryEncoder(8), "elu", causal=causal)
+        schedule = make_schedule(8)
+        rotations = [dense_rotation_matrix(schedule, t) for t in range(12)]
+        pq = np.stack([r @ elu1(row) for r, row in zip(rotations, q)])
+        pk = np.stack([r @ elu1(row) for r, row in zip(rotations, k)])
+        weights = pq @ pk.T
+        weights = weights[causal_mask(12)] if causal else weights.ravel()
+        assert stats["weights"] == weights.size
+        np.testing.assert_allclose(stats["negative_fraction"], (weights < 0).mean())
+        np.testing.assert_allclose(stats["min_weight"], weights.min())
 
     def test_gradient(self):
         rng = Rng(25)

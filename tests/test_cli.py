@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rope_kit import cli
-from rope_kit.errors import ConfigurationError
 
 
 def run_cli(*argv):
@@ -145,31 +144,3 @@ class TestCompareCommand:
         a.write_text("step,loss\n1,5.0\n")
         b.write_text("step,loss\n2,5.0\n")
         assert run_cli("compare", str(a), str(b)) == 2
-
-
-class TestWorkerThreads:
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("ROPE_KIT_THREADS", "2")
-        assert cli.worker_threads() == 2
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("ROPE_KIT_THREADS", "0")
-        assert cli.worker_threads() >= 1
-
-    def test_absent_means_auto(self, monkeypatch):
-        monkeypatch.delenv("ROPE_KIT_THREADS", raising=False)
-        assert cli.worker_threads() >= 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("ROPE_KIT_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            cli.worker_threads()
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("ROPE_KIT_THREADS", "-3")
-        with pytest.raises(ConfigurationError):
-            cli.worker_threads()
-
-    def test_verify_honors_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("ROPE_KIT_THREADS", "1")
-        assert run_cli("verify", "--trials", "10", "--dims", "2") == 0

@@ -3,6 +3,8 @@
 import math
 import os
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from rope_kit.harness import (
     train_from_scratch,
 )
 from rope_kit.numerics import Rng, grad_check
+
+checkpoint_module = importlib.import_module("rope_kit.harness.checkpoint")
 
 TINY = dict(d_model=16, heads=2, layers=1, context_len=8, precision=64)
 
@@ -235,6 +239,46 @@ class TestCheckpoint:
         assert any(np.abs(m).max() > 0 for m in adam.m.values())
         for p in model.params:
             assert adam.m[p.name].shape == p.data.shape
+
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, small_corpus, monkeypatch):
+        config = run_config(tmp_path, small_corpus, "atomic", steps=2)
+        train_from_scratch(tiny_config(precision=32), config)
+        before = open(config.checkpoint_path, "rb").read()
+        model, adam, rng, _ = load_checkpoint(config.checkpoint_path)
+        real_write = checkpoint_module._write_tensor
+        calls = []
+
+        def failing_write(fh, name, arr):
+            calls.append(name)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_write(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint_module, "_write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(config.checkpoint_path, model, adam, rng)
+        assert open(config.checkpoint_path, "rb").read() == before
+        assert load_checkpoint(config.checkpoint_path)[3] == 2
+        assert sorted(os.listdir(tmp_path)) == ["atomic.ckpt", "atomic.csv"]
+
+    def test_resume_appends_to_same_metrics_file(self, tmp_path, small_corpus):
+        straight = run_config(tmp_path, small_corpus, "straight", steps=8)
+        train_from_scratch(tiny_config(precision=32), straight)
+        first = run_config(tmp_path, small_corpus, "same", steps=4)
+        train_from_scratch(tiny_config(precision=32), first)
+        resume(first.checkpoint_path, run_config(tmp_path, small_corpus, "same", steps=8))
+        assert (open(first.metrics_path, "rb").read()
+                == open(straight.metrics_path, "rb").read())
+
+    def test_resume_rejects_metrics_not_ending_at_checkpoint(self, tmp_path, small_corpus):
+        first = run_config(tmp_path, small_corpus, "gap", steps=4)
+        train_from_scratch(tiny_config(precision=32), first)
+        rows = open(first.metrics_path).read().splitlines()
+        with open(first.metrics_path, "w") as fh:
+            fh.write("\n".join(rows[:-1]) + "\n")  # drop step 4
+        with pytest.raises(DataError, match="last step 3"):
+            resume(first.checkpoint_path, run_config(tmp_path, small_corpus, "gap", steps=8))
 
 
 class TestCompareRuns:

@@ -143,6 +143,39 @@ class TestApplyRotary:
         for t in range(5):
             np.testing.assert_array_equal(out[t], apply_rotary(enc, x[t], t))
 
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
+    def test_position_array_rotates_each_row(self, wrap):
+        enc = RotaryEncoder(6)
+        x = Rng(7).normal_array((2, 5, 6))
+        positions = np.array([3, 0, 70, 3, 9])
+        out = apply_rotary(enc, wrap(x), positions)
+        out = out.data if isinstance(out, Tensor) else out
+        for t, m in enumerate(positions):
+            expected = apply_rotary(enc, wrap(x[:, t]), int(m))
+            expected = expected.data if isinstance(expected, Tensor) else expected
+            np.testing.assert_array_equal(out[:, t], expected)
+
+    def test_position_array_wrong_shape_rejected(self):
+        enc = RotaryEncoder(4)
+        with pytest.raises(DimensionError):
+            apply_rotary(enc, np.ones((5, 4)), np.arange(4))
+        with pytest.raises(DimensionError):
+            apply_rotary(enc, np.ones(4), np.arange(1))
+
+    def test_negative_positions_rejected(self):
+        enc = RotaryEncoder(4)
+        with pytest.raises(ConfigurationError):
+            apply_rotary(enc, np.ones((3, 4)), np.array([0, -1, 1]))
+        with pytest.raises(ConfigurationError):
+            apply_rotary(enc, np.ones(4), -1)
+
+    def test_non_integer_positions_rejected(self):
+        # a float array would otherwise be truncated to integer positions
+        with pytest.raises(ConfigurationError):
+            apply_rotary(RotaryEncoder(4), np.ones((2, 4)), np.array([0.5, 1.7]))
+        with pytest.raises(ConfigurationError):
+            apply_rotary(RotaryEncoder(4), np.ones(4), 2.0)
+
     def test_gradient_is_inverse_rotation(self):
         enc = RotaryEncoder(8)
         p = Parameter("x", Rng(5).normal_array((3, 8)))
