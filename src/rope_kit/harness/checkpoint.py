@@ -40,6 +40,18 @@ VERSION = 1
 __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
 
 
+class _ZeroInit:
+    """Stands in for the Rng while ``load_checkpoint`` rebuilds a model.
+
+    Every array is overwritten from the file, so drawing an initialisation
+    would be wasted work; zeros of the requested dtype take its place.
+    """
+
+    @staticmethod
+    def normal_array(shape, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     fh.write(struct.pack("<H", len(encoded)))
@@ -118,7 +130,7 @@ def load_checkpoint(path):
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         stored = dict(_read_tensor(fh) for _ in range(count))
 
-    model = ByteLM(config, Rng(0))  # throwaway stream; weights come from the file
+    model = ByteLM(config, _ZeroInit())
     adam = AdamState(model, step=step)
     for p in model.params:
         for prefix, target in (("", None), ("adam.m:", adam.m), ("adam.v:", adam.v)):

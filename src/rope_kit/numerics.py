@@ -45,6 +45,23 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
 
+def _u64(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array, an operand of the bulk integer rounds.
+
+    Every operand there is a uint64: under numpy's legacy promotion (numpy
+    < 2) a Python int mixed with a uint64 array can become float64. A 0-d
+    array costs numpy about half as much per ufunc call as an ``np.uint64``
+    scalar, which matters on the many 2- and 4-element draws of ``verify``.
+    """
+    return np.array(value, dtype=np.uint64)
+
+
+_U64_GAMMA = _u64(_GAMMA)
+_U64_MUL1 = _u64(0xBF58476D1CE4E5B9)
+_U64_MUL2 = _u64(0x94D049BB133111EB)
+_U64_SHIFTS = tuple(_u64(k) for k in (30, 27, 31, 11))
+
+
 def _mix64(z: int) -> int:
     """splitmix64 output function (Steele, Lea & Flood 2014)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
@@ -85,11 +102,41 @@ class Rng:
         return self.next_u64() % n
 
     def normal_array(self, shape, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        flat = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            flat[i] = self.normal()
-        return (scale * flat).reshape(shape).astype(dtype)
+        """``scale`` times ``prod(shape)`` consecutive ``normal()`` draws.
+
+        The result and the final ``state`` are bit-identical to calling
+        ``normal()`` once per element, in C order. splitmix64 is a counter
+        hash (draw k from state s is ``mix64(s + k * gamma)``), so the 2n
+        uniforms are computed at once in uint64 arrays, whose arithmetic
+        wraps mod 2**64 like the scalar code's masks. ``log`` and ``cos``
+        stay on libm (``math``) on purpose: numpy's SIMD versions differ
+        from it in the last bit on some inputs. ``sqrt`` and the products
+        are correctly rounded in both, so they run in numpy.
+        """
+        if not np.iterable(shape):
+            shape = (shape,)
+        size = int(math.prod(shape))
+        draws = 2 * size
+        z = np.arange(1, draws + 1, dtype=np.uint64)
+        z *= _U64_GAMMA
+        z += _u64(self._state)
+        self._state = (self._state + draws * _GAMMA) & _MASK64
+        s30, s27, s31, s11 = _U64_SHIFTS
+        z ^= z >> s30
+        z *= _U64_MUL1
+        z ^= z >> s27
+        z *= _U64_MUL2
+        z ^= z >> s31
+        u = (z >> s11) * 2.0**-53  # exact: 53-bit integers times a power of two
+        # Even draws feed the radius, odd ones the angle, as in normal().
+        # Products put the array first (the same IEEE result): a Python
+        # float on the left costs a failed float.__mul__ first.
+        log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, size)
+        cos_angle = np.fromiter(
+            map(math.cos, (u[1::2] * (2.0 * math.pi)).tolist()), np.float64, size
+        )
+        flat = np.sqrt(log_u1 * -2.0) * cos_angle
+        return (flat * scale).reshape(shape).astype(dtype)
 
     def spawn(self, stream: int) -> "Rng":
         """Derive an independent child stream; depends only on the seed."""

@@ -153,7 +153,10 @@ def apply_rotary(enc: RotaryEncoder, x, positions):
 
 def apply_rotary_rows(enc: RotaryEncoder, x):
     """Rotate row t of the second-to-last axis to position t."""
-    seq = _shape(x)[-2]
+    shape = _shape(x)
+    if len(shape) < 2:
+        raise DimensionError(f"apply_rotary_rows needs (..., seq, dim) input, got shape {shape}")
+    seq = shape[-2]
     cos, sin = enc.tables(seq - 1)
     return _apply_tables(x, cos[:seq], sin[:seq], enc.dim)
 

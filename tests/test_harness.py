@@ -241,6 +241,35 @@ class TestCheckpoint:
             assert adam.m[p.name].shape == p.data.shape
 
 
+    @pytest.mark.parametrize("encoding", ["rope", "learned", "shaw"])
+    @pytest.mark.parametrize("precision", [32, 64])
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, encoding, precision):
+        model = ByteLM(tiny_config(pos_encoding=encoding, precision=precision), Rng(5))
+        adam = AdamState(model, step=7)
+        fill = Rng(6)
+        for moments in (adam.m, adam.v):
+            for name, arr in moments.items():
+                arr[...] = fill.normal_array(arr.shape)
+        rng = Rng(8)
+        rng.next_u64()
+        path = tmp_path / "saved.ckpt"
+        save_checkpoint(path, model, adam, rng)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from an Rng")
+
+        monkeypatch.setattr(Rng, "normal_array", no_draws)
+        loaded, loaded_adam, loaded_rng, step = load_checkpoint(path)
+        assert step == 7
+        assert (loaded_rng.seed, loaded_rng.state) == (rng.seed, rng.state)
+
+        def arrays(m, a):
+            return [(name, arr.dtype, arr.tobytes())
+                    for name, arr in [(p.name, p.data) for p in m.params]
+                    + list(a.m.items()) + list(a.v.items())]
+
+        assert arrays(loaded, loaded_adam) == arrays(model, adam)
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, small_corpus, monkeypatch):
         config = run_config(tmp_path, small_corpus, "atomic", steps=2)
         train_from_scratch(tiny_config(precision=32), config)

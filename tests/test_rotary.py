@@ -144,6 +144,11 @@ class TestApplyRotary:
             np.testing.assert_array_equal(out[t], apply_rotary(enc, x[t], t))
 
     @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
+    def test_rows_variant_needs_a_row_axis(self, wrap):
+        with pytest.raises(DimensionError):
+            apply_rotary_rows(RotaryEncoder(4), wrap(np.ones(4)))
+
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
     def test_position_array_rotates_each_row(self, wrap):
         enc = RotaryEncoder(6)
         x = Rng(7).normal_array((2, 5, 6))
