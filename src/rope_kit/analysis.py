@@ -34,9 +34,26 @@ __all__ = [
     "abel_identity_check",
     "Derivation2DReport",
     "derivation_oracle_2d",
+    "TRIAL_CHUNK",
+    "trial_chunks",
+    "randint_array",
 ]
 
 DECAY_CSV_HEADER = "distance,mean_abs_S"
+
+# Random-draw checks run their trials in batches of at most this many, so
+# their memory does not grow with the trial count.
+TRIAL_CHUNK = 250
+
+
+def trial_chunks(trials: int) -> list[int]:
+    """Batch sizes that add up to ``trials``, each at most TRIAL_CHUNK."""
+    return [min(TRIAL_CHUNK, trials - start) for start in range(0, trials, TRIAL_CHUNK)]
+
+
+def randint_array(rng: Rng, n: int, size: int) -> np.ndarray:
+    """``size`` consecutive ``rng.randint(n)`` draws as an integer array."""
+    return np.array([rng.randint(n) for _ in range(size)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -117,57 +134,59 @@ class AbelCheckReport:
     bound_violations: int = 0
     max_score_residual: float = 0.0
 
-    def merge(self, residual: float, bound_ok: bool, score_residual: float) -> None:
-        self.trials += 1
-        self.max_identity_residual = max(self.max_identity_residual, residual)
-        self.max_score_residual = max(self.max_score_residual, score_residual)
-        if not bound_ok:
-            self.bound_violations += 1
+    def merge(self, residual, bound_ok, score_residual) -> None:
+        """Fold in one draw, or a batch of draws as equal-shaped arrays."""
+        self.trials += np.size(bound_ok)
+        self.max_identity_residual = max(self.max_identity_residual, float(np.max(residual)))
+        self.max_score_residual = max(self.max_score_residual, float(np.max(score_residual)))
+        self.bound_violations += np.size(bound_ok) - np.count_nonzero(bound_ok)
 
 
-def abel_single(q, k, m: int, n: int, schedule: ThetaSchedule) -> tuple[float, bool, float]:
-    """One draw of the summation-by-parts check.
+def abel_single(q, k, m, n, schedule: ThetaSchedule):
+    """The summation-by-parts check on one draw, or on a batch of draws.
 
     The rotated score is the real part of sum_i h_i e^{i (m-n) theta_i}
     with h_i the complex product of the i-th coordinate pairs. Returns
     (identity residual between the two summation orders, whether the
     |sum| <= max|h_{i+1}-h_i| * sum|S_{i+1}| bound holds, and the
-    residual against the score computed by rotation).
+    residual against the score computed by rotation). q and k have shape
+    (..., dim) and m, n broadcast against the leading shape, as in
+    :func:`rope_score`; each result has that leading shape.
     """
     qa = np.asarray(q, dtype=np.float64)
     ka = np.asarray(k, dtype=np.float64)
-    half = schedule.dim // 2
-    hq = qa[0::2] + 1j * qa[1::2]
-    hk = ka[0::2] + 1j * ka[1::2]
+    hq = qa[..., 0::2] + 1j * qa[..., 1::2]
+    hk = ka[..., 0::2] + 1j * ka[..., 1::2]
     h = hq * np.conj(hk)
-    phases = np.exp(1j * (m - n) * schedule.thetas)
+    phases = np.exp(1j * np.multiply.outer(np.subtract(m, n), schedule.thetas))
 
-    total = np.sum(h * phases)
-    # S_0 = 0 and S_j the partial phase sums; h gets a trailing zero.
-    s = np.concatenate([[0.0 + 0.0j], np.cumsum(phases)])
-    h_padded = np.concatenate([h, [0.0 + 0.0j]])
-    lhs = np.sum(h_padded[:half] * (s[1:] - s[:-1]))
-    rhs = -np.sum(s[1:] * (h_padded[1:] - h_padded[:-1]))
-    residual = abs(lhs - rhs)
+    total = np.sum(h * phases, axis=-1)
+    # S_1..S_half, the partial phase sums (S_0 = 0); h_{half+1} = 0.
+    s = np.cumsum(phases, axis=-1)
+    h_steps = np.diff(h, append=0.0, axis=-1)
+    lhs = np.sum(h * np.diff(s, prepend=0.0, axis=-1), axis=-1)
+    rhs = -np.sum(s * h_steps, axis=-1)
+    residual = np.abs(lhs - rhs)
 
-    bound = np.max(np.abs(h_padded[1:] - h_padded[:-1])) * np.sum(np.abs(s[1:]))
-    bound_ok = abs(total) <= bound + 1e-12
+    bound = np.max(np.abs(h_steps), axis=-1) * np.sum(np.abs(s), axis=-1)
+    bound_ok = np.abs(total) <= bound + 1e-12
 
-    score_residual = abs(total.real - rope_score(qa, ka, m, n, schedule))
+    score_residual = np.abs(total.real - rope_score(qa, ka, m, n, schedule))
     return residual, bound_ok, score_residual
 
 
 def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128),
                         max_pos: int = 512) -> AbelCheckReport:
-    """Random-draw driver: unit-scale gaussian pairs, positions <= max_pos."""
+    """Random-draw driver: unit-scale gaussian pairs, positions <= max_pos,
+    drawn TRIAL_CHUNK trials at a time."""
     report = AbelCheckReport()
     for dim in dims:
         schedule = make_schedule(dim)
-        for _ in range(trials):
-            q = rng.normal_array((dim,))
-            k = rng.normal_array((dim,))
-            m = rng.randint(max_pos + 1)
-            n = rng.randint(max_pos + 1)
+        for size in trial_chunks(trials):
+            q = rng.normal_array((size, dim))
+            k = rng.normal_array((size, dim))
+            m = randint_array(rng, max_pos + 1, size)
+            n = randint_array(rng, max_pos + 1, size)
             report.merge(*abel_single(q, k, m, n, schedule))
     return report
 
@@ -192,12 +211,8 @@ class Derivation2DReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_initial_residual < self.tolerances["initial"]
-            and self.max_radial_residual < self.tolerances["radial"]
-            and self.max_angular_residual < self.tolerances["angular"]
-            and self.max_relative_residual < self.tolerances["relative"]
-        )
+        return all(getattr(self, f"max_{claim}_residual") < tolerance
+                   for claim, tolerance in self.tolerances.items())
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -211,42 +226,35 @@ def derivation_oracle_2d(rng: Rng, trials: int, max_m: int = 16) -> Derivation2D
     frequency, then verifies: rotating to position 0 changes nothing,
     the modulus never depends on position, the phase grows as m * theta
     (mod 2pi), and query/key scores over a position grid collapse onto a
-    function of the offset alone.
+    function of the offset alone. Trials are drawn TRIAL_CHUNK at a time;
+    each rotates to every position with one stacked dense matrix and
+    scores the whole grid with one call.
     """
     report = Derivation2DReport(trials=trials)
-    for _ in range(trials):
-        w_q = rng.normal_array((2, 2))
-        w_k = rng.normal_array((2, 2))
-        x_q = rng.normal_array((2,))
-        x_k = rng.normal_array((2,))
-        theta = 0.1 + 1.9 * rng.uniform()  # nonzero by construction
-        schedule = ThetaSchedule(dim=2, thetas=np.array([theta]))
+    positions = np.arange(max_m + 1)
+    grid = np.arange(0, 9, 2)
+    for size in trial_chunks(trials):
+        # q0 = W_q x_q and k0 = W_k x_k: a random projection of a random input.
+        q0, k0 = (np.einsum("tij,tj->ti", rng.normal_array((size, 2, 2)),
+                            rng.normal_array((size, 2))) for _ in range(2))
+        thetas = np.array([0.1 + 1.9 * rng.uniform() for _ in range(size)])  # nonzero
 
-        q0 = w_q @ x_q
-        k0 = w_k @ x_k
-        base_angle = np.angle(complex(q0[0], q0[1]))
-        base_norm = np.hypot(q0[0], q0[1])
+        schedules = [ThetaSchedule(dim=2, thetas=thetas[t:t + 1]) for t in range(size)]
+        rotated = np.stack([dense_rotation_matrix(sched, positions) @ q
+                            for sched, q in zip(schedules, q0)])  # [t, m, xy]
+        scores = np.stack([rope_score(q, k, grid[:, None], grid, sched)
+                           for sched, q, k in zip(schedules, q0, k0)])  # [t, m, n]
 
-        for m in range(max_m + 1):
-            rotated = dense_rotation_matrix(schedule, m) @ q0
-            if m == 0:
-                report.max_initial_residual = max(
-                    report.max_initial_residual, float(np.abs(rotated - q0).max())
-                )
-            norm = np.hypot(rotated[0], rotated[1])
-            report.max_radial_residual = max(
-                report.max_radial_residual, abs(norm - base_norm)
-            )
-            angle = np.angle(complex(rotated[0], rotated[1]))
-            drift = _wrap_angle(angle - base_angle - m * theta)
-            report.max_angular_residual = max(report.max_angular_residual, abs(drift))
-
-        by_offset: dict[int, list[float]] = {}
-        for m in range(0, 9, 2):
-            for n in range(0, 9, 2):
-                score = rope_score(q0, k0, m, n, schedule)
-                by_offset.setdefault(n - m, []).append(score)
-        for scores in by_offset.values():
-            spread = max(scores) - min(scores)
-            report.max_relative_residual = max(report.max_relative_residual, spread)
+        z, z0 = rotated[..., 0] + 1j * rotated[..., 1], q0[:, :1] + 1j * q0[:, 1:]
+        drift = _wrap_angle(np.angle(z) - np.angle(z0) - positions * thetas[:, None])
+        # Each diagonal of the (m, n) grid is one offset n - m.
+        spread = max(np.ptp(np.diagonal(scores, offset, 1, 2), axis=1).max()
+                     for offset in range(1 - len(grid), len(grid)))
+        report.max_initial_residual = max(report.max_initial_residual,
+                                          float(np.abs(rotated[:, 0] - q0).max()))
+        report.max_radial_residual = max(report.max_radial_residual,
+                                         float(np.abs(np.abs(z) - np.abs(z0)).max()))
+        report.max_angular_residual = max(report.max_angular_residual,
+                                          float(np.abs(drift).max()))
+        report.max_relative_residual = max(report.max_relative_residual, float(spread))
     return report

@@ -36,20 +36,13 @@ CHECK_EXIT = 1
 
 
 def _suite_numerics(rng: Rng, dims, trials: int):
-    worst_sum = 0.0
-    worst_shift = 0.0
-    for _ in range(min(trials, 200)):
-        rows = Tensor(rng.normal_array((4, 8), scale=3.0))
-        soft = softmax_rows(rows).data
-        worst_sum = max(worst_sum, float(np.abs(soft.sum(axis=-1) - 1.0).max()))
-        shifted = softmax_rows(rows + Tensor(np.full((4, 1), 17.0))).data
-        worst_shift = max(worst_shift, float(np.abs(soft - shifted).max()))
-    worst_assoc = 0.0
-    for _ in range(min(trials, 100)):
-        a, b, c = (Tensor(rng.normal_array((4, 4))) for _ in range(3))
-        left = matmul(matmul(a, b), c).data
-        right = matmul(a, matmul(b, c)).data
-        worst_assoc = max(worst_assoc, float(np.abs(left - right).max()))
+    rows = Tensor(rng.normal_array((min(trials, 200), 4, 8), scale=3.0))
+    soft = softmax_rows(rows).data
+    worst_sum = float(np.abs(soft.sum(axis=-1) - 1.0).max())
+    shifted = softmax_rows(rows + Tensor(np.full((4, 1), 17.0))).data
+    worst_shift = float(np.abs(soft - shifted).max())
+    a, b, c = (Tensor(rng.normal_array((min(trials, 100), 4, 4))) for _ in range(3))
+    worst_assoc = float(np.abs(matmul(matmul(a, b), c).data - matmul(a, matmul(b, c)).data).max())
     w = Parameter("w", rng.normal_array((4, 4)))
     x = Parameter("x", rng.normal_array((4, 3)))
     grad_err = grad_check(
@@ -66,13 +59,13 @@ def _suite_shift_invariance(rng: Rng, dims, trials: int):
     worst = 0.0
     for dim in dims:
         schedule = rotary.make_schedule(dim)
-        for _ in range(trials):
-            q = rng.normal_array((dim,))
-            k = rng.normal_array((dim,))
-            m, n, s = (rng.randint(513) for _ in range(3))
+        for size in analysis.trial_chunks(trials):
+            q = rng.normal_array((size, dim))
+            k = rng.normal_array((size, dim))
+            m, n, s = (analysis.randint_array(rng, 513, size) for _ in range(3))
             base = rotary.rope_score(q, k, m, n, schedule)
             moved = rotary.rope_score(q, k, m + s, n + s, schedule)
-            worst = max(worst, abs(base - moved))
+            worst = max(worst, float(np.abs(base - moved).max()))
     return worst < 1e-9, f"max |score(m,n) - score(m+s,n+s)| = {worst:.2e}"
 
 
@@ -80,11 +73,10 @@ def _suite_sparse_dense(rng: Rng, dims, trials: int):
     worst = 0.0
     positions = sorted({0, 1, 2, 3, 1024} | {rng.randint(1025) for _ in range(24)})
     for dim in sorted(set(dims) | {256}):
-        schedule = rotary.make_schedule(dim)
-        encoder = rotary.RotaryEncoder(dim)
+        encoder = rotary.RotaryEncoder(dim, positions[-1] + 1)
         x = rng.normal_array((dim,))
         for m in positions:
-            dense = rotary.dense_rotation_matrix(schedule, m) @ x
+            dense = rotary.dense_rotation_matrix(encoder.schedule, m) @ x
             sparse = rotary.apply_rotary(encoder, x, m)
             worst = max(worst, float(np.abs(dense - sparse).max()))
     return worst < 1e-12, f"max |dense - sparse| = {worst:.2e} (positions <= 1024)"
@@ -92,18 +84,17 @@ def _suite_sparse_dense(rng: Rng, dims, trials: int):
 
 def _suite_complex_real(rng: Rng, dims, trials: int):
     schedule = rotary.make_schedule(2)
+    theta = float(schedule.thetas[0])
     worst = 0.0
-    for _ in range(trials):
-        q = rng.normal_array((2,))
-        k = rng.normal_array((2,))
-        m, n = rng.randint(513), rng.randint(513)
+    for size in analysis.trial_chunks(trials):
+        q = rng.normal_array((size, 2))
+        k = rng.normal_array((size, 2))
+        m, n = (analysis.randint_array(rng, 513, size) for _ in range(2))
         real = rotary.rope_score(q, k, m, n, schedule)
-        cplx = rotary.complex_rope_score_2d(
-            rotary.Complex2DPair.from_vector(q),
-            rotary.Complex2DPair.from_vector(k),
-            m, n, float(schedule.thetas[0]),
-        )
-        worst = max(worst, abs(real - cplx))
+        for q_t, k_t, m_t, n_t, real_t in zip(q, k, m.tolist(), n.tolist(), real.tolist()):
+            pair_q, pair_k = map(rotary.Complex2DPair.from_vector, (q_t, k_t))
+            cplx = rotary.complex_rope_score_2d(pair_q, pair_k, m_t, n_t, theta)
+            worst = max(worst, abs(real_t - cplx))
     return worst < 1e-12, f"max |complex - real| = {worst:.2e}"
 
 
@@ -111,23 +102,18 @@ def _suite_orthogonality(rng: Rng, dims, trials: int):
     worst_norm = 0.0
     worst_rel = 0.0
     for dim in dims:
-        schedule = rotary.make_schedule(dim)
         encoder = rotary.RotaryEncoder(dim)
-        for _ in range(max(1, trials // 10)):
-            x = rng.normal_array((dim,))
-            m = rng.randint(513)
-            n = m + rng.randint(513)
+        for size in analysis.trial_chunks(max(1, trials // 10)):
+            x = rng.normal_array((size, dim))
+            m = analysis.randint_array(rng, 513, size)
+            n = m + analysis.randint_array(rng, 513, size)
             rotated = rotary.apply_rotary(encoder, x, m)
-            worst_norm = max(
-                worst_norm,
-                abs(float(np.linalg.norm(rotated)) - float(np.linalg.norm(x))),
-            )
-            composed = (
-                rotary.dense_rotation_matrix(schedule, m).T
-                @ rotary.dense_rotation_matrix(schedule, n)
-            )
-            direct = rotary.dense_rotation_matrix(schedule, n - m)
-            worst_rel = max(worst_rel, float(np.abs(composed - direct).max()))
+            drift = np.abs(np.linalg.norm(rotated, axis=-1) - np.linalg.norm(x, axis=-1))
+            worst_norm = max(worst_norm, float(drift.max()))
+            # One trial at a time: its three (d, d) matrices take 384 KB at d = 128.
+            for triple in np.stack([m, n, n - m], axis=-1):
+                r_m, r_n, direct = rotary.dense_rotation_matrix(encoder.schedule, triple)
+                worst_rel = max(worst_rel, float(np.abs(r_m.T @ r_n - direct).max()))
     ok = worst_norm < 1e-12 and worst_rel < 1e-12
     return ok, f"norm drift {worst_norm:.2e}, R_m^T R_n vs R_(n-m) {worst_rel:.2e}"
 
@@ -283,12 +269,13 @@ def cmd_bench(args) -> int:
         raise ConfigurationError(f"--reps must be >= 1, got {args.reps}")
     if args.dim % 2 != 0 or args.dim < 2:
         raise ConfigurationError(f"--dim must be even and >= 2, got {args.dim}")
+    if args.seq < 1:
+        raise ConfigurationError(f"--seq must be >= 1, got {args.seq}")
     print(f"seed: {args.seed}")
     rng = Rng(args.seed)
-    schedule = rotary.make_schedule(args.dim)
     encoder = rotary.RotaryEncoder(args.dim, args.seq)
     x = rng.normal_array((args.seq, args.dim))
-    matrices = np.stack([rotary.dense_rotation_matrix(schedule, m) for m in range(args.seq)])
+    matrices = rotary.dense_rotation_matrix(encoder.schedule, np.arange(args.seq))
 
     def dense_pass():
         return np.einsum("tij,tj->ti", matrices, x)

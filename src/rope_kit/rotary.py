@@ -179,37 +179,41 @@ def _apply_tables(x, cos, sin, dim: int):
     return _rotate(arr, cos, sin)
 
 
-def dense_rotation_matrix(schedule: ThetaSchedule, m: int) -> np.ndarray:
+def dense_rotation_matrix(schedule: ThetaSchedule, m) -> np.ndarray:
     """The explicit block-diagonal rotation matrix at position m.
 
     Negative m is allowed and equals the transpose of the matrix at -m.
+    An integer array m gives the stack of shape (*m.shape, d, d), each
+    slice bit-identical to the call at that position.
     """
     d = schedule.dim
-    angles = m * schedule.thetas
-    mat = np.zeros((d, d), dtype=np.float64)
+    angles = np.multiply.outer(m, schedule.thetas)
+    mat = np.zeros(angles.shape[:-1] + (d, d), dtype=np.float64)
     cos, sin = np.cos(angles), np.sin(angles)
     idx = np.arange(d // 2)
-    mat[2 * idx, 2 * idx] = cos
-    mat[2 * idx, 2 * idx + 1] = -sin
-    mat[2 * idx + 1, 2 * idx] = sin
-    mat[2 * idx + 1, 2 * idx + 1] = cos
+    mat[..., 2 * idx, 2 * idx] = cos
+    mat[..., 2 * idx, 2 * idx + 1] = -sin
+    mat[..., 2 * idx + 1, 2 * idx] = sin
+    mat[..., 2 * idx + 1, 2 * idx + 1] = cos
     return mat
 
 
-def rope_score(q, k, m: int, n: int, schedule: ThetaSchedule) -> float:
+def rope_score(q, k, m, n, schedule: ThetaSchedule):
     """Inner product of q rotated to position m and k rotated to position n.
 
     Equals q^T R_{n-m} k, so it depends on the positions only through
-    n - m (shift invariance).
+    n - m (shift invariance). q, k are (..., dim) and m, n ints or integer
+    arrays broadcast against (...); a float when the result is a scalar.
     """
     qa, ka = as_array(q), as_array(k)
-    if qa.shape != (schedule.dim,) or ka.shape != (schedule.dim,):
+    if qa.shape[-1:] != (schedule.dim,) or ka.shape[-1:] != (schedule.dim,):
         raise DimensionError(
             f"expected vectors of length {schedule.dim}, got {qa.shape} and {ka.shape}"
         )
-    cos_m, sin_m = _pair_cos_sin(m * schedule.thetas)
-    cos_n, sin_n = _pair_cos_sin(n * schedule.thetas)
-    return float(_rotate(qa, cos_m, sin_m) @ _rotate(ka, cos_n, sin_n))
+    cos_m, sin_m = _pair_cos_sin(np.multiply.outer(m, schedule.thetas))
+    cos_n, sin_n = _pair_cos_sin(np.multiply.outer(n, schedule.thetas))
+    score = (_rotate(qa, cos_m, sin_m) * _rotate(ka, cos_n, sin_n)).sum(axis=-1)
+    return float(score) if score.ndim == 0 else score
 
 
 @dataclass(frozen=True)

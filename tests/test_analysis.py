@@ -119,6 +119,36 @@ class TestAbelIdentity:
                 )
                 assert score_residual < 1e-10
 
+    def test_batch_matches_per_row_calls(self):
+        rng = Rng(35)
+        for dim in (2, 4, 64, 128):
+            schedule = make_schedule(dim)
+            q, k = rng.normal_array((9, dim)), rng.normal_array((9, dim))
+            m = np.array([rng.randint(513) for _ in range(9)])
+            n = np.array([rng.randint(513) for _ in range(9)])
+            residual, bound_ok, score_residual = abel_single(q, k, m, n, schedule)
+            assert residual.shape == bound_ok.shape == score_residual.shape == (9,)
+            for t in range(9):
+                row = abel_single(q[t], k[t], m[t], n[t], schedule)
+                assert abs(residual[t] - row[0]) < 1e-12
+                assert bound_ok[t] == row[1]
+                assert abs(score_residual[t] - row[2]) < 1e-12
+
+    def test_merge_counts_a_batch_per_draw(self):
+        report = AbelCheckReport()
+        report.merge(np.array([1e-13, 3e-12]), np.array([True, False]), np.array([2e-13, 1e-14]))
+        report.merge(np.array([2e-12]), np.array([False]), np.array([5e-13]))
+        assert report.trials == 3
+        assert report.bound_violations == 2
+        assert report.max_identity_residual == 3e-12
+        assert report.max_score_residual == 5e-13
+
+    @pytest.mark.parametrize("trials", [1, 249, 250, 251, 600])
+    def test_driver_counts_every_draw_across_batches(self, trials):
+        report = abel_identity_check(Rng(36), trials=trials, dims=(4, 8))
+        assert report.trials == 2 * trials
+        assert report.bound_violations == 0
+
     def test_random_draw_driver(self):
         report = abel_identity_check(Rng(32), trials=1000, dims=(4, 64, 128))
         assert report.trials == 3000
@@ -160,6 +190,25 @@ class TestDerivation2D:
         schedule = ThetaSchedule(dim=2, thetas=np.array([0.77]))
         for m in (1, 3, 7):
             assert abs(np.linalg.norm(dense_rotation_matrix(schedule, m) @ w @ x) - base) < 1e-12
+
+    @pytest.mark.parametrize("target", ["rope_score", "dense_rotation_matrix"])
+    def test_oracle_checks_the_library_kernels(self, monkeypatch, target):
+        from rope_kit import analysis, rotary
+
+        original = getattr(rotary, target)
+
+        # Each fault grows with position, as a wrong rotation would.
+        def skewed_score(q, k, m, n, schedule):
+            return original(q, k, m, n, schedule) + 1e-6 * np.asarray(m)
+
+        def skewed_matrix(schedule, m):
+            fast = rotary.ThetaSchedule(dim=schedule.dim, thetas=schedule.thetas + 1e-6)
+            return original(fast, m)
+
+        replacement = skewed_score if target == "rope_score" else skewed_matrix
+        monkeypatch.setattr(analysis, target, replacement)
+        report = derivation_oracle_2d(Rng(37), trials=20)
+        assert not report.passed
 
     def test_oracle_passes_on_random_draws(self):
         report = derivation_oracle_2d(Rng(34), trials=1000)

@@ -1,9 +1,11 @@
 """Command surface: exit codes, artifacts, config precedence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rope_kit import cli
+from rope_kit import analysis, cli
 
 
 def run_cli(*argv):
@@ -16,6 +18,31 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "seed: 42" in out
         assert "all 9 suites passed" in out
+
+    def test_verify_trials_not_a_multiple_of_the_batch(self, capsys):
+        assert analysis.TRIAL_CHUNK < 257 and 257 % analysis.TRIAL_CHUNK != 0
+        assert run_cli("verify", "--trials", "257") == 0
+        out = capsys.readouterr().out
+        assert "all 9 suites passed" in out
+        assert "(771 draws)" in out
+
+    @pytest.mark.parametrize("seed", ["0", "42", "2104"])
+    def test_verify_defaults_pass(self, seed, capsys):
+        # The exact call the benchmark makes, at default dims and trials.
+        assert cli.main(["verify", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" PASS ") == 9 and "FAIL" not in out
+        assert "(3000 draws)" in out
+
+    def test_verify_peak_memory(self, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 10e6, f"verify allocated a peak of {peak / 1e6:.1f} MB"
 
     def test_verify_odd_dims_usage_error(self, capsys):
         assert run_cli("verify", "--dims", "3") == 2
@@ -75,6 +102,15 @@ class TestBenchCommand:
 
     def test_zero_reps_usage_error(self):
         assert run_cli("bench", "--reps", "0") == 2
+
+    @pytest.mark.parametrize("seq", ["0", "-3"])
+    def test_nonpositive_seq_usage_error(self, seq, capsys):
+        assert run_cli("bench", "--seq", seq) == 2
+        assert "--seq must be >= 1" in capsys.readouterr().err
+
+    def test_single_position(self, capsys):
+        assert run_cli("bench", "--dim", "8", "--seq", "1", "--reps", "1") == 0
+        assert "outputs agree" in capsys.readouterr().out
 
 
 class TestTrainCommand:

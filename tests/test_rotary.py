@@ -237,6 +237,15 @@ class TestDenseMatrix:
             dense_rotation_matrix(schedule, -5), dense_rotation_matrix(schedule, 5).T
         )
 
+    @pytest.mark.parametrize("dim", [2, 8, 128])
+    def test_position_array_stacks_scalar_calls(self, dim):
+        schedule = make_schedule(dim)
+        positions = np.array([[0, 1, -3], [57, 511, 1024]])
+        stack = dense_rotation_matrix(schedule, positions)
+        assert stack.shape == (2, 3, dim, dim)
+        expected = np.stack([dense_rotation_matrix(schedule, m) for m in positions.ravel()])
+        np.testing.assert_array_equal(stack.reshape(6, dim, dim), expected)
+
     def test_sparse_dense_equivalence(self):
         rng = Rng(8)
         for dim in (2, 4, 16, 64, 128, 256):
@@ -286,6 +295,41 @@ class TestScores:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             rope_score(np.ones(4), np.ones(4), 0, 0, make_schedule(8))
+        with pytest.raises(DimensionError):
+            rope_score(np.ones((3, 4)), np.ones((3, 8)), 0, 0, make_schedule(8))
+
+    def test_scalar_call_returns_float(self):
+        score = rope_score(np.ones(4), np.ones(4), np.int64(3), 1, make_schedule(4))
+        assert type(score) is float
+
+    @pytest.mark.parametrize("dim", [2, 4, 64, 128])
+    def test_batch_matches_per_row_calls(self, dim):
+        rng = Rng(13)
+        schedule = make_schedule(dim)
+        q, k = rng.normal_array((7, dim)), rng.normal_array((7, dim))
+        m = np.array([rng.randint(1025) for _ in range(7)])
+        n = np.array([rng.randint(1025) for _ in range(7)])
+        cases = [
+            (m, n, lambda t: (m[t], n[t])),      # one position pair per row
+            (m, 5, lambda t: (m[t], 5)),         # scalar n broadcasts
+            (0, n, lambda t: (0, n[t])),         # scalar m broadcasts
+        ]
+        for m_arg, n_arg, pair in cases:
+            batch = rope_score(q, k, m_arg, n_arg, schedule)
+            assert batch.shape == (7,)
+            for t in range(7):
+                assert abs(batch[t] - rope_score(q[t], k[t], *pair(t), schedule)) < 1e-12
+
+    def test_positions_broadcast_against_one_vector_pair(self):
+        rng = Rng(14)
+        schedule = make_schedule(16)
+        q, k = rng.normal_array((16,)), rng.normal_array((16,))
+        grid = np.arange(0, 9, 2)
+        scores = rope_score(q, k, grid[:, None], grid, schedule)
+        assert scores.shape == (5, 5)
+        for i, m in enumerate(grid):
+            for j, n in enumerate(grid):
+                assert abs(scores[i, j] - rope_score(q, k, int(m), int(n), schedule)) < 1e-12
 
 
 class TestComplexForm:
