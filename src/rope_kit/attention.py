@@ -22,7 +22,9 @@ import numpy as np
 
 from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
-from .numerics import Tensor, as_array, elu_plus_one, exp, matmul, softmax_rows, tape_op, transpose
+from .numerics import (
+    Tensor, _as_tensor, as_array, elu_plus_one, exp, matmul, softmax_rows, tape_op, transpose,
+)
 from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
 
 __all__ = [
@@ -102,7 +104,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, spec: AttentionSpec,
     when that baseline is active. Causal masking excludes keys after the
     query position.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     seq = _check_qkv(q, k, v, spec.head_dim)
     scores = matmul(q, transpose(k))
     if score_bias is not None:
@@ -124,7 +126,7 @@ def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
     the products plus one O(seq^2) gather and one O(seq^2) reduction; no
     (seq, seq, d) array is built.
     """
-    q = _wrap(q)
+    q = _as_tensor(q)
     seq, dim = q.data.shape[-2], q.data.shape[-1]
     if dim != shaw.dim:
         raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.dim}")
@@ -223,7 +225,7 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
 
 def linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
                            causal: bool = False) -> LinearAttentionParts:
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
@@ -246,7 +248,7 @@ def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: Rotary
                                 positions: np.ndarray | None = None) -> LinearAttentionParts:
     """Parts of :func:`rope_linear_attention`; row t sits at position t
     unless ``positions`` gives one position per row."""
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
@@ -318,7 +320,3 @@ def similarity_attention(q, k, v, sim) -> Tensor:
     if (row_sums == 0).any():
         raise NumericError("similarity row sums to zero; cannot normalize")
     return Tensor(scores @ va / row_sums[:, None])
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)

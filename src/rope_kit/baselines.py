@@ -26,46 +26,41 @@ __all__ = [
 ]
 
 
-def sinusoidal_encoding(position: int, dim: int) -> np.ndarray:
+def sinusoidal_encoding(position, dim: int) -> np.ndarray:
     """Interleaved sin/cos vector: entry 2t is sin(k / 10000^(2t/d)),
-    entry 2t+1 the matching cos."""
+    entry 2t+1 the matching cos.
+
+    ``position`` is an int k, or an array of positions giving one vector
+    per entry, of shape (*position.shape, dim).
+    """
     if dim < 2 or dim % 2 != 0:
         raise ConfigurationError(f"sinusoidal dim must be even and >= 2, got {dim}")
-    if position < 0:
-        raise ConfigurationError(f"position must be non-negative, got {position}")
+    position = np.asarray(position)
+    if (position < 0).any():
+        raise ConfigurationError(f"position must be non-negative, got {position.min()}")
     t = np.arange(dim // 2, dtype=np.float64)
-    angle = position / (10000.0 ** (2.0 * t / dim))
-    out = np.empty(dim, dtype=np.float64)
-    out[0::2] = np.sin(angle)
-    out[1::2] = np.cos(angle)
+    angle = np.divide.outer(position, 10000.0 ** (2.0 * t / dim))
+    out = np.empty(angle.shape[:-1] + (dim,), dtype=np.float64)
+    out[..., 0::2] = np.sin(angle)
+    out[..., 1::2] = np.cos(angle)
     return out
 
 
 class SinusoidalTable:
-    """Precomputed sinusoidal rows; grows by doubling, entries never change."""
+    """Sinusoidal rows of the most recent sequence length, rebuilt when it changes."""
 
-    def __init__(self, dim: int, max_pos: int = 64):
+    def __init__(self, dim: int):
         if dim < 2 or dim % 2 != 0:
             raise ConfigurationError(f"sinusoidal dim must be even and >= 2, got {dim}")
         self.dim = dim
-        self.table = self._build(max(max_pos, 1))
-
-    def _build(self, max_pos: int) -> np.ndarray:
-        rows = np.stack([sinusoidal_encoding(k, self.dim) for k in range(max_pos)])
-        rows.setflags(write=False)
-        return rows
-
-    @property
-    def max_pos(self) -> int:
-        return self.table.shape[0]
+        self._rows: np.ndarray | None = None
 
     def rows(self, seq: int) -> np.ndarray:
-        if seq > self.max_pos:
-            grown = self.max_pos
-            while grown < seq:
-                grown *= 2
-            self.table = self._build(grown)
-        return self.table[:seq]
+        if self._rows is None or len(self._rows) != seq:
+            rows = sinusoidal_encoding(np.arange(seq), self.dim)
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
 
 
 class LearnedAbsolute:
@@ -163,7 +158,7 @@ class ShawRelative:
         layout = ShawLayout(seq, gather, run_starts, gather.reshape(-1)[run_starts])
         for arr in (layout.gather, layout.run_starts, layout.run_buckets):
             arr.setflags(write=False)
-        self._layout = layout  # one reference swap: readers see old or new
+        self._layout = layout
         return layout
 
 

@@ -73,7 +73,7 @@ def _suite_sparse_dense(rng: Rng, dims, trials: int):
     worst = 0.0
     positions = sorted({0, 1, 2, 3, 1024} | {rng.randint(1025) for _ in range(24)})
     for dim in sorted(set(dims) | {256}):
-        encoder = rotary.RotaryEncoder(dim, positions[-1] + 1)
+        encoder = rotary.RotaryEncoder(dim)
         x = rng.normal_array((dim,))
         for m in positions:
             dense = rotary.dense_rotation_matrix(encoder.schedule, m) @ x
@@ -273,7 +273,7 @@ def cmd_bench(args) -> int:
         raise ConfigurationError(f"--seq must be >= 1, got {args.seq}")
     print(f"seed: {args.seed}")
     rng = Rng(args.seed)
-    encoder = rotary.RotaryEncoder(args.dim, args.seq)
+    encoder = rotary.RotaryEncoder(args.dim)
     x = rng.normal_array((args.seq, args.dim))
     matrices = rotary.dense_rotation_matrix(encoder.schedule, np.arange(args.seq))
 
@@ -337,7 +337,12 @@ def _load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in TRAIN_KEYS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = TRAIN_KEYS[key](value)
+            try:
+                values[key] = TRAIN_KEYS[key](value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key}={value!r} is not a valid {TRAIN_KEYS[key].__name__}"
+                ) from None
     return values
 
 

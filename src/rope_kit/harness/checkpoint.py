@@ -116,19 +116,24 @@ def load_checkpoint(path):
     from .model import ByteLM, ModelConfig
     from .train import AdamState
 
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(MAGIC)) != MAGIC:
-            raise DataError(f"{path} is not a rope-kit checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        (step,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (seed,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (state,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        config = ModelConfig.from_text(_read_exact(fh, config_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        stored = dict(_read_tensor(fh) for _ in range(count))
+    try:
+        with open(path, "rb") as fh:
+            if _read_exact(fh, len(MAGIC)) != MAGIC:
+                raise DataError("not a rope-kit checkpoint")
+            (version,) = struct.unpack("<I", _read_exact(fh, 4))
+            if version != VERSION:
+                raise DataError(f"unsupported checkpoint version {version}")
+            (step,) = struct.unpack("<Q", _read_exact(fh, 8))
+            (seed,) = struct.unpack("<Q", _read_exact(fh, 8))
+            (state,) = struct.unpack("<Q", _read_exact(fh, 8))
+            (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
+            config = ModelConfig.from_text(_read_exact(fh, config_len).decode("utf-8"))
+            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            stored = dict(_read_tensor(fh) for _ in range(count))
+    except (ValueError, TypeError) as exc:
+        # Besides DataError: a config line without "=", an unknown key or a
+        # bad value, and config or name bytes that are not UTF-8.
+        raise DataError(f"{path}: {exc}") from exc
 
     model = ByteLM(config, _ZeroInit())
     adam = AdamState(model, step=step)
@@ -136,11 +141,11 @@ def load_checkpoint(path):
         for prefix, target in (("", None), ("adam.m:", adam.m), ("adam.v:", adam.v)):
             key = prefix + p.name
             if key not in stored:
-                raise DataError(f"checkpoint is missing tensor {key!r}")
+                raise DataError(f"{path}: checkpoint is missing tensor {key!r}")
             arr = stored[key]
             if arr.shape != p.data.shape:
                 raise DataError(
-                    f"tensor {key!r} has shape {arr.shape}, expected {p.data.shape}"
+                    f"{path}: tensor {key!r} has shape {arr.shape}, expected {p.data.shape}"
                 )
             if target is None:
                 p.tensor.data[...] = arr

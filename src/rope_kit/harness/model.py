@@ -103,10 +103,8 @@ class ByteLM:
         self.dtype = np.float64 if config.precision == 64 else np.float32
         d, hd = config.d_model, config.head_dim
 
-        self.rotary = RotaryEncoder(hd, config.context_len) if config.pos_encoding == "rope" else None
-        self.sinusoidal = (
-            SinusoidalTable(d, config.context_len) if config.pos_encoding == "sinusoidal" else None
-        )
+        self.rotary = RotaryEncoder(hd) if config.pos_encoding == "rope" else None
+        self.sinusoidal = SinusoidalTable(d) if config.pos_encoding == "sinusoidal" else None
 
         self.params: list[Parameter] = []
         self._matrix("wte", rng, (config.vocab, d))

@@ -10,7 +10,6 @@ difference, which is what the rest of the package verifies and exploits.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,6 @@ class ThetaSchedule:
 
 
 def make_schedule(dim: int) -> ThetaSchedule:
-    if dim < 2 or dim % 2 != 0:
-        raise ConfigurationError(f"rotary dim must be even and >= 2, got {dim}")
     pair = np.arange(dim // 2, dtype=np.float64)
     thetas = BASE ** (-2.0 * pair / dim)
     return ThetaSchedule(dim=dim, thetas=thetas)
@@ -70,59 +67,46 @@ def _rotate(x: np.ndarray, cos_row: np.ndarray, sin_row: np.ndarray) -> np.ndarr
     return x * cos_row + rotate_pairs(x) * sin_row
 
 
-def _pair_cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of each angle, repeated for both members of its pair."""
+def _integer_positions(positions) -> np.ndarray:
+    """``positions`` as an integer array; fractional positions are refused."""
+    positions = np.asarray(positions)
+    if positions.dtype.kind not in "iu":
+        raise ConfigurationError(f"positions must be integers, got dtype {positions.dtype}")
+    return positions
+
+
+def _pair_cos_sin(schedule: ThetaSchedule, positions) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin of positions * theta_i, each repeated for both members of its pair."""
+    angles = np.multiply.outer(positions, schedule.thetas)
     return np.repeat(np.cos(angles), 2, axis=-1), np.repeat(np.sin(angles), 2, axis=-1)
 
 
 class RotaryEncoder:
-    """Cached cos/sin tables for applying the rotation at integer positions.
+    """The rotation at integer positions as elementwise cos/sin products.
 
-    Row m holds cos(m * theta_i) and sin(m * theta_i), each value repeated
-    for both members of its pair, so application is two elementwise
-    multiplies and an add. The cache doubles on demand; existing rows are
-    carried over bytewise, and the table reference is swapped atomically
-    so concurrent readers see either the old or the new horizon.
+    The rotation at position m is the closed form m * theta_i, so explicit
+    positions get their cos/sin computed directly and no table has to
+    cover them. ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps
+    the pair of the most recent ``seq``, so a training loop at a fixed
+    context builds it once.
     """
 
-    def __init__(self, dim: int, max_pos: int = 64):
+    def __init__(self, dim: int):
         self.schedule = make_schedule(dim)
-        self._lock = threading.Lock()
-        self._tables = self._build(max(max_pos, 1))
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.schedule.dim
 
-    @property
-    def max_pos(self) -> int:
-        return self._tables[0].shape[0]
-
-    def _build(self, max_pos: int, start: int = 0, carry=None):
-        positions = np.arange(start, max_pos, dtype=np.float64)
-        cos, sin = _pair_cos_sin(positions[:, None] * self.schedule.thetas[None, :])
-        if carry is not None:
-            cos = np.concatenate([carry[0], cos], axis=0)
-            sin = np.concatenate([carry[1], sin], axis=0)
-        cos.setflags(write=False)
-        sin.setflags(write=False)
-        return cos, sin
-
-    def tables(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin tables covering positions 0..upto inclusive."""
-        if upto < 0:
-            raise ConfigurationError(f"position must be non-negative, got {upto}")
-        tables = self._tables
-        if upto < tables[0].shape[0]:
-            return tables
-        with self._lock:
-            tables = self._tables
-            if upto >= tables[0].shape[0]:
-                grown = tables[0].shape[0]
-                while grown <= upto:
-                    grown *= 2
-                self._tables = self._build(grown, start=tables[0].shape[0], carry=tables)
-            return self._tables
+    def rows(self, seq: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (seq, dim) cos/sin rows for positions 0..seq-1."""
+        if self._rows is None or len(self._rows[0]) != seq:
+            cos, sin = _pair_cos_sin(self.schedule, np.arange(seq))
+            cos.setflags(write=False)
+            sin.setflags(write=False)
+            self._rows = cos, sin
+        return self._rows
 
 
 def _shape(x) -> tuple[int, ...]:
@@ -139,16 +123,14 @@ def apply_rotary(enc: RotaryEncoder, x, positions):
     or any array-like (plain numpy in, numpy out). Norms are preserved
     exactly up to rounding.
     """
-    positions = np.asarray(positions)
-    if positions.dtype.kind not in "iu":
-        raise ConfigurationError(f"positions must be integers, got dtype {positions.dtype}")
+    positions = _integer_positions(positions)
     rows = _shape(x)[-2:-1]
     if positions.ndim and positions.shape != rows:
         raise DimensionError(f"positions shape {positions.shape} != rows {rows}")
     if (positions < 0).any():
         raise ConfigurationError(f"positions must be non-negative, got {positions.min()}")
-    cos, sin = enc.tables(int(positions.max(initial=0)))
-    return _apply_tables(x, cos[positions], sin[positions], enc.dim)
+    cos, sin = _pair_cos_sin(enc.schedule, positions)
+    return _apply_cos_sin(x, cos, sin, enc.dim)
 
 
 def apply_rotary_rows(enc: RotaryEncoder, x):
@@ -156,12 +138,11 @@ def apply_rotary_rows(enc: RotaryEncoder, x):
     shape = _shape(x)
     if len(shape) < 2:
         raise DimensionError(f"apply_rotary_rows needs (..., seq, dim) input, got shape {shape}")
-    seq = shape[-2]
-    cos, sin = enc.tables(seq - 1)
-    return _apply_tables(x, cos[:seq], sin[:seq], enc.dim)
+    cos, sin = enc.rows(shape[-2])
+    return _apply_cos_sin(x, cos, sin, enc.dim)
 
 
-def _apply_tables(x, cos, sin, dim: int):
+def _apply_cos_sin(x, cos, sin, dim: int):
     if isinstance(x, Tensor):
         if x.data.shape[-1] != dim:
             raise DimensionError(f"last dim {x.data.shape[-1]} != rotary dim {dim}")
@@ -187,7 +168,7 @@ def dense_rotation_matrix(schedule: ThetaSchedule, m) -> np.ndarray:
     slice bit-identical to the call at that position.
     """
     d = schedule.dim
-    angles = np.multiply.outer(m, schedule.thetas)
+    angles = np.multiply.outer(_integer_positions(m), schedule.thetas)
     mat = np.zeros(angles.shape[:-1] + (d, d), dtype=np.float64)
     cos, sin = np.cos(angles), np.sin(angles)
     idx = np.arange(d // 2)
@@ -210,8 +191,8 @@ def rope_score(q, k, m, n, schedule: ThetaSchedule):
         raise DimensionError(
             f"expected vectors of length {schedule.dim}, got {qa.shape} and {ka.shape}"
         )
-    cos_m, sin_m = _pair_cos_sin(np.multiply.outer(m, schedule.thetas))
-    cos_n, sin_n = _pair_cos_sin(np.multiply.outer(n, schedule.thetas))
+    cos_m, sin_m = _pair_cos_sin(schedule, _integer_positions(m))
+    cos_n, sin_n = _pair_cos_sin(schedule, _integer_positions(n))
     score = (_rotate(qa, cos_m, sin_m) * _rotate(ka, cos_n, sin_n)).sum(axis=-1)
     return float(score) if score.ndim == 0 else score
 

@@ -47,11 +47,21 @@ class TestSinusoidal:
             sinusoidal_encoding(-1, 4)
 
     def test_table_matches_function_and_grows(self):
-        table = SinusoidalTable(8, max_pos=4)
-        rows = table.rows(20)
-        assert table.max_pos >= 20
-        for k in (0, 3, 19):
-            np.testing.assert_array_equal(rows[k], sinusoidal_encoding(k, 8))
+        table = SinusoidalTable(8)
+        for seq in (4, 20, 4):
+            rows = table.rows(seq)
+            assert rows.shape == (seq, 8) and not rows.flags.writeable
+            for k in range(seq):
+                np.testing.assert_array_equal(rows[k], sinusoidal_encoding(k, 8))
+
+    def test_position_array_stacks_scalar_calls(self):
+        positions = np.array([[0, 3], [19, 250]])
+        stack = sinusoidal_encoding(positions, 6)
+        assert stack.shape == (2, 2, 6)
+        for index, k in np.ndenumerate(positions):
+            np.testing.assert_array_equal(stack[index], sinusoidal_encoding(int(k), 6))
+        with pytest.raises(ConfigurationError):
+            sinusoidal_encoding(np.array([2, -1]), 4)
 
 
 class TestLearnedAbsolute:

@@ -158,6 +158,13 @@ class TestTrainCommand:
         config.write_text("momentum=0.9\n")
         assert run_cli("train", "--config", str(config)) == 2
 
+    @pytest.mark.parametrize("line", ["steps=abc", "lr=fast"])
+    def test_config_file_bad_value(self, tmp_path, line, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# a comment\n{line}\n")
+        assert run_cli("train", "--config", str(config)) == 2
+        assert f"{config}:2:" in capsys.readouterr().err
+
     def test_invalid_variant_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--variant", "alibi")

@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+import struct
 
 import importlib
 
@@ -229,6 +231,36 @@ class TestCheckpoint:
         path = tmp_path / "cut.ckpt"
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part, old, new", [
+        ("config", b"heads=2", b"heads 2"),
+        ("config", b"heads=2", b"momentum=2"),
+        ("config", b"d_model=16", b"d_model=abc"),
+        ("config", b"d_model", b"d_\xffmodel"),
+        ("name", b"wte", b"\xffte"),
+    ], ids=["line-without-equals", "unknown-key", "non-integer-value",
+            "config-not-utf8", "name-not-utf8"])
+    def test_corrupt_contents_rejected(self, tmp_path, part, old, new):
+        model = ByteLM(tiny_config(), Rng(1))
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, AdamState(model), Rng(2))
+        blob = good.read_bytes()
+        head = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
+        (text_len,) = struct.unpack_from("<I", blob, head)
+        text_end = head + 4 + text_len
+        name_at = text_end + 4  # past the tensor count, at the first tensor's name length
+        (name_len,) = struct.unpack_from("<H", blob, name_at)
+        parts = {"config": blob[head + 4:text_end], "name": blob[name_at + 2:name_at + 2 + name_len]}
+        assert old in parts[part]
+        parts[part] = parts[part].replace(old, new, 1)
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(
+            blob[:head] + struct.pack("<I", len(parts["config"])) + parts["config"]
+            + blob[text_end:name_at] + struct.pack("<H", len(parts["name"])) + parts["name"]
+            + blob[name_at + 2 + name_len:]
+        )
+        with pytest.raises(DataError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_adam_moments_restored(self, tmp_path, small_corpus):

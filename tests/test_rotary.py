@@ -1,7 +1,7 @@
-"""Rotation operator: schedule, tables, dense/sparse forms, scores."""
+"""Rotation operator: schedule, row memo, dense/sparse forms, scores."""
 
 import math
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +52,7 @@ class TestSchedule:
 class TestEncoderTables:
     def test_pairwise_duplication(self):
         enc = RotaryEncoder(8)
-        cos, sin = enc.tables(20)
+        cos, sin = enc.rows(21)
         schedule = make_schedule(8)
         for m in (0, 1, 7, 20):
             for i in range(4):
@@ -60,46 +60,26 @@ class TestEncoderTables:
                 assert cos[m, 2 * i] == cos[m, 2 * i + 1] == pytest.approx(expected, abs=0)
                 assert sin[m, 2 * i] == sin[m, 2 * i + 1]
 
-    def test_growth_preserves_existing_entries(self):
-        enc = RotaryEncoder(4, max_pos=8)
-        before = enc.tables(7)[0].copy()
-        enc.tables(1000)
-        after = enc.tables(7)[0]
-        assert after.shape[0] >= 1001
-        np.testing.assert_array_equal(after[:8], before)
+    def test_memo_matches_fresh_tables(self):
+        enc = RotaryEncoder(8)
+        for seq in (20, 4, 20):
+            cos, sin = enc.rows(seq)
+            fresh_cos, fresh_sin = RotaryEncoder(8).rows(seq)
+            assert cos.shape == (seq, 8)
+            np.testing.assert_array_equal(cos, fresh_cos)
+            np.testing.assert_array_equal(sin, fresh_sin)
+            assert not cos.flags.writeable and not sin.flags.writeable
 
-    def test_growth_is_geometric(self):
-        enc = RotaryEncoder(4, max_pos=8)
-        enc.tables(9)
-        assert enc.max_pos == 16
-        enc.tables(33)
-        assert enc.max_pos == 64
-
-    def test_concurrent_growth_consistent(self):
-        enc = RotaryEncoder(4, max_pos=2)
-        errors = []
-
-        def reader(upto):
-            try:
-                for _ in range(50):
-                    cos, sin = enc.tables(upto)
-                    # a torn table would break the pair duplication
-                    assert (cos[:, 0::2] == cos[:, 1::2]).all()
-            except AssertionError as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader, args=(n,)) for n in (5, 60, 700, 3000)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        fresh = RotaryEncoder(4, max_pos=enc.max_pos)
-        np.testing.assert_array_equal(enc.tables(0)[0], fresh.tables(0)[0])
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RotaryEncoder(4).tables(-1)
+    def test_far_position_allocates_nothing(self):
+        enc = RotaryEncoder(128)
+        x = np.ones(128)
+        tracemalloc.start()
+        try:
+            apply_rotary(enc, x, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"rotating one vector to position 5000 peaked at {peak / 1e6:.1f} MB"
 
 
 class TestApplyRotary:
@@ -142,6 +122,23 @@ class TestApplyRotary:
         out = apply_rotary_rows(enc, x)
         for t in range(5):
             np.testing.assert_array_equal(out[t], apply_rotary(enc, x[t], t))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
+    def test_rows_variant_equals_explicit_positions(self, wrap, dtype):
+        enc = RotaryEncoder(6)
+        x = Rng(4).normal_array((2, 7, 6)).astype(dtype)
+        out = apply_rotary_rows(enc, wrap(x))
+        expected = apply_rotary(enc, wrap(x), np.arange(7))
+        out, expected = (r.data if isinstance(r, Tensor) else r for r in (out, expected))
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
+    def test_rows_variant_empty_sequence(self, wrap):
+        out = apply_rotary_rows(RotaryEncoder(4), wrap(np.ones((3, 0, 4))))
+        out = out.data if isinstance(out, Tensor) else out
+        assert out.shape == (3, 0, 4)
 
     @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
     def test_rows_variant_needs_a_row_axis(self, wrap):
@@ -231,6 +228,12 @@ class TestDenseMatrix:
                     composed, dense_rotation_matrix(schedule, n - m), atol=1e-12
                 )
 
+    def test_non_integer_position_rejected(self):
+        with pytest.raises(ConfigurationError):
+            dense_rotation_matrix(make_schedule(4), 1.5)
+        with pytest.raises(ConfigurationError):
+            dense_rotation_matrix(make_schedule(4), np.array([0.0, 2.0]))
+
     def test_negative_offset_is_transpose(self):
         schedule = make_schedule(8)
         np.testing.assert_array_equal(
@@ -297,6 +300,13 @@ class TestScores:
             rope_score(np.ones(4), np.ones(4), 0, 0, make_schedule(8))
         with pytest.raises(DimensionError):
             rope_score(np.ones((3, 4)), np.ones((3, 8)), 0, 0, make_schedule(8))
+
+    def test_non_integer_positions_rejected(self):
+        q = np.ones(4)
+        with pytest.raises(ConfigurationError):
+            rope_score(q, q, 0.5, 0, make_schedule(4))
+        with pytest.raises(ConfigurationError):
+            rope_score(q, q, 0, np.array([1.0, 2.0]), make_schedule(4))
 
     def test_scalar_call_returns_float(self):
         score = rope_score(np.ones(4), np.ones(4), np.int64(3), 1, make_schedule(4))
