@@ -28,7 +28,6 @@ from .numerics import (
 from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
 
 __all__ = [
-    "AttentionSpec",
     "AttentionOutput",
     "LinearAttentionParts",
     "causal_mask",
@@ -49,29 +48,6 @@ VARIANTS = ("softmax", "linear-elu", "linear-softmax")
 POS_ENCODINGS = ("rope", "sinusoidal", "learned", "shaw", "none")
 
 
-@dataclass(frozen=True)
-class AttentionSpec:
-    heads: int
-    head_dim: int
-    variant: str = "softmax"
-    pos_encoding: str = "none"
-    causal: bool = False
-
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigurationError(f"heads must be >= 1, got {self.heads}")
-        if self.head_dim < 1:
-            raise ConfigurationError(f"head_dim must be >= 1, got {self.head_dim}")
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(f"unknown attention variant {self.variant!r}")
-        if self.pos_encoding not in POS_ENCODINGS:
-            raise ConfigurationError(f"unknown position encoding {self.pos_encoding!r}")
-        if self.pos_encoding == "rope" and self.head_dim % 2 != 0:
-            raise ConfigurationError(
-                f"rotary encoding needs an even head_dim, got {self.head_dim}"
-            )
-
-
 @dataclass
 class AttentionOutput:
     output: Tensor
@@ -83,34 +59,31 @@ def causal_mask(seq: int) -> np.ndarray:
     return np.tril(np.ones((seq, seq), dtype=bool))
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor, head_dim: int | None = None) -> int:
+def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> int:
     if q.data.shape != k.data.shape or q.data.shape[:-1] != v.data.shape[:-1]:
         raise DimensionError(
             f"q/k/v shapes disagree: {q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
-    if head_dim is not None and q.data.shape[-1] != head_dim:
-        raise DimensionError(
-            f"vector dim {q.data.shape[-1]} != spec head_dim {head_dim}"
-        )
     return q.data.shape[-2]
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor, spec: AttentionSpec,
+def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                       score_bias: Tensor | None = None) -> AttentionOutput:
     """Scaled dot-product attention with row-normalized weights.
 
     ``score_bias`` (shape (..., seq, seq)) is added to the raw q.k scores
-    before 1/sqrt(d) scaling; it carries the clipped-relative key term
-    when that baseline is active. Causal masking excludes keys after the
-    query position.
+    before 1/sqrt(d) scaling, d being q's last axis; it carries the
+    clipped-relative key term when that baseline is active. Causal
+    masking excludes keys after the query position. Rotary encoding is
+    applied to q and k by the caller.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    seq = _check_qkv(q, k, v, spec.head_dim)
+    seq = _check_qkv(q, k, v)
     scores = matmul(q, transpose(k))
     if score_bias is not None:
         scores = scores + score_bias
-    scores = scores * (1.0 / np.sqrt(spec.head_dim))
-    mask = causal_mask(seq) if spec.causal else None
+    scores = scores * (1.0 / np.sqrt(q.data.shape[-1]))
+    mask = causal_mask(seq) if causal else None
     weights = softmax_rows(scores, mask=mask)
     return AttentionOutput(output=matmul(weights, v), weights=weights)
 
@@ -165,7 +138,6 @@ def feature_map_pair(name: str):
 @dataclass
 class LinearAttentionParts:
     output: Tensor
-    numerator: np.ndarray
     denominator: np.ndarray
 
 
@@ -174,7 +146,7 @@ def _reverse_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
-                 v: Tensor, causal: bool) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                 v: Tensor, causal: bool) -> tuple[Tensor, np.ndarray]:
     """Regrouped linear attention: key-value products are aggregated once.
 
     Numerator uses (pq_num, pk_num), denominator (pq_den, pk_den); the
@@ -220,7 +192,7 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
 
     out = tape_op(out_data, (pq_num, pk_num, pq_den, pk_den, v), grad_fn,
                   name="linear_attention")
-    return out, num, den
+    return out, den
 
 
 def linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
@@ -229,8 +201,8 @@ def linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "
     _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
-    out, num, den = _linear_core(pq, pk, pq, pk, v, causal)
-    return LinearAttentionParts(output=out, numerator=num, denominator=den)
+    out, den = _linear_core(pq, pk, pq, pk, v, causal)
+    return LinearAttentionParts(output=out, denominator=den)
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
@@ -256,8 +228,8 @@ def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: Rotary
         pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
     else:
         pq_rot, pk_rot = apply_rotary(encoder, pq, positions), apply_rotary(encoder, pk, positions)
-    out, num, den = _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
-    return LinearAttentionParts(output=out, numerator=num, denominator=den)
+    out, den = _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
+    return LinearAttentionParts(output=out, denominator=den)
 
 
 def rope_linear_attention(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,

@@ -72,7 +72,7 @@ class LearnedAbsolute:
         self.max_len = max_len
         self.dim = dim
         self.embeddings = Parameter(
-            "pos_embeddings", rng.normal_array((max_len, dim), scale=scale), dtype=dtype
+            "pos_learned", rng.normal_array((max_len, dim), scale=scale), dtype=dtype
         )
 
     def rows(self, seq: int) -> Tensor:
@@ -126,7 +126,7 @@ class ShawRelative:
         self.r_max = r_max
         self.dim = dim
         self.key_embeddings = Parameter(
-            "shaw_key_embeddings",
+            "pos_shaw",
             rng.normal_array((r_max - r_min + 1, dim), scale=scale),
             dtype=dtype,
         )

@@ -244,10 +244,7 @@ def cmd_decay(args) -> int:
         raise ConfigurationError(f"--dim must be even and >= 2, got {args.dim}")
     print(f"seed: {args.seed}")
     curve = analysis.decay_curve(args.dim, args.max_dist)
-    try:
-        analysis.write_decay_csv(curve, args.out)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}")
+    analysis.write_decay_csv(curve, args.out)
     print(f"wrote {len(curve.values)} rows to {args.out}")
     print(f"E(0) = {curve.values[0]} (exact value (d/2+1)/2 = {(args.dim / 2 + 1) / 2})")
     if args.max_dist >= 100:
@@ -310,17 +307,17 @@ def _median_time(fn, reps: int) -> float:
 # train / compare
 # ---------------------------------------------------------------------------
 
+# The train flags and config-file keys, in flag order, with the type of
+# each value. Unset keys keep the defaults of ModelConfig and TrainConfig.
 TRAIN_KEYS = {
     "corpus": str, "steps": int, "batch_size": int, "lr": float, "seed": int,
-    "metrics": str, "checkpoint": str, "variant": str, "attention": str,
-    "d_model": int, "heads": int, "layers": int, "context": int, "precision": int,
+    "variant": str, "attention": str, "d_model": int, "heads": int, "layers": int,
+    "context": int, "precision": int, "metrics": str, "checkpoint": str,
 }
-
-TRAIN_DEFAULTS = {
-    "steps": 500, "batch_size": 16, "lr": 1e-3, "seed": 42,
-    "variant": "rope", "attention": "softmax",
-    "d_model": 64, "heads": 4, "layers": 2, "context": 128, "precision": 32,
+TRAIN_CHOICES = {
+    "variant": attention.POS_ENCODINGS, "attention": attention.VARIANTS, "precision": (32, 64),
 }
+TRAIN_STEPS = 500
 
 
 def _load_config_file(path) -> dict:
@@ -343,42 +340,45 @@ def _load_config_file(path) -> dict:
                 raise ConfigurationError(
                     f"{path}:{lineno}: {key}={value!r} is not a valid {TRAIN_KEYS[key].__name__}"
                 ) from None
+            choices = TRAIN_CHOICES.get(key)
+            if choices is not None and values[key] not in choices:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key}={value!r} is not one of "
+                    f"{', '.join(map(str, choices))}"
+                )
     return values
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are set; the others keep their defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def cmd_train(args) -> int:
-    settings = dict(TRAIN_DEFAULTS)
-    if args.config:
-        settings.update(_load_config_file(args.config))
+    settings = _load_config_file(args.config) if args.config else {}
     for key in TRAIN_KEYS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     if "corpus" not in settings:
         raise ConfigurationError("no corpus given (flag --corpus or config key corpus)")
     if not os.path.exists(settings["corpus"]):
         raise DataError(f"corpus file not found: {settings['corpus']}")
-    settings.setdefault("metrics", f"train-{settings['variant']}.csv")
-    settings.setdefault("checkpoint", f"train-{settings['variant']}.ckpt")
 
-    model_config = ModelConfig(
-        d_model=settings["d_model"],
-        heads=settings["heads"],
-        layers=settings["layers"],
-        context_len=settings["context"],
-        attention_variant=settings["attention"],
-        pos_encoding=settings["variant"],
-        precision=settings["precision"],
-    )
-    train_config = TrainConfig(
-        steps=settings["steps"],
+    get = settings.get
+    model_config = ModelConfig(**_given(
+        d_model=get("d_model"), heads=get("heads"), layers=get("layers"),
+        context_len=get("context"), attention_variant=get("attention"),
+        pos_encoding=get("variant"), precision=get("precision"),
+    ))
+    variant = model_config.pos_encoding
+    train_config = TrainConfig(**_given(
+        steps=get("steps", TRAIN_STEPS),
         corpus_path=settings["corpus"],
-        metrics_path=settings["metrics"],
-        checkpoint_path=settings["checkpoint"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["lr"],
-        seed=settings["seed"],
-    )
+        metrics_path=get("metrics", f"train-{variant}.csv"),
+        checkpoint_path=get("checkpoint", f"train-{variant}.ckpt"),
+        batch_size=get("batch_size"), learning_rate=get("lr"), seed=get("seed"),
+    ))
     print(f"seed: {train_config.seed}")
     print(f"model: {model_config}")
     model = ByteLM(model_config, Rng(train_config.seed))
@@ -442,21 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the toy byte LM")
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--corpus")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=attention.POS_ENCODINGS,
-                   help="position encoding variant")
-    p.add_argument("--attention", choices=attention.VARIANTS)
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--context", type=int)
-    p.add_argument("--precision", type=int, choices=(32, 64))
-    p.add_argument("--metrics")
-    p.add_argument("--checkpoint")
+    for key, kind in TRAIN_KEYS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                       choices=TRAIN_CHOICES.get(key),
+                       help="position encoding variant" if key == "variant" else None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("compare", help="tabulate metrics files side by side")
@@ -471,7 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, DataError) as exc:
+    except (ConfigurationError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except NumericError as exc:

@@ -29,12 +29,17 @@ def read_metrics(path) -> tuple[np.ndarray, np.ndarray]:
         if header != METRICS_HEADER:
             raise DataError(f"{path}: unexpected metrics header {header!r}")
         steps, losses = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            step, loss = line.strip().split(",")
-            steps.append(int(step))
-            losses.append(float(loss))
+            try:
+                step, loss = line.strip().split(",")
+                steps.append(int(step))
+                losses.append(float(loss))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: malformed metrics row {line.strip()!r}"
+                ) from None
     if not steps:
         raise DataError(f"{path}: no metric rows")
     return np.asarray(steps), np.asarray(losses)

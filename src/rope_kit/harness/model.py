@@ -13,7 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..attention import (
-    AttentionSpec,
+    POS_ENCODINGS,
+    VARIANTS,
     linear_attention,
     rope_linear_attention,
     shaw_score_bias,
@@ -60,7 +61,14 @@ class ModelConfig:
             raise ConfigurationError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
             )
-        self.attention_spec()
+        if self.attention_variant not in VARIANTS:
+            raise ConfigurationError(f"unknown attention variant {self.attention_variant!r}")
+        if self.pos_encoding not in POS_ENCODINGS:
+            raise ConfigurationError(f"unknown position encoding {self.pos_encoding!r}")
+        if self.pos_encoding == "rope" and self.head_dim % 2 != 0:
+            raise ConfigurationError(
+                f"rotary encoding needs an even head_dim, got {self.head_dim}"
+            )
         if self.context_len < 2:
             raise ConfigurationError(f"context_len must be >= 2, got {self.context_len}")
         if self.pos_encoding == "shaw" and self.attention_variant != "softmax":
@@ -75,11 +83,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
-
-    def attention_spec(self) -> AttentionSpec:
-        """The causal attention each layer runs; validates the attention fields."""
-        return AttentionSpec(self.heads, self.head_dim, self.attention_variant,
-                             self.pos_encoding, causal=True)
 
     def to_text(self) -> str:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
@@ -113,12 +116,10 @@ class ByteLM:
         if config.pos_encoding == "learned":
             self.learned = LearnedAbsolute(config.context_len, d, rng,
                                            scale=INIT_SCALE, dtype=self.dtype)
-            self.learned.embeddings.name = "pos_learned"
             self.params.append(self.learned.embeddings)
         elif config.pos_encoding == "shaw":
             self.shaw = ShawRelative(-SHAW_CLIP_RADIUS, SHAW_CLIP_RADIUS, hd, rng,
                                      scale=INIT_SCALE, dtype=self.dtype)
-            self.shaw.key_embeddings.name = "pos_shaw"
             self.params.append(self.shaw.key_embeddings)
         for i in range(config.layers):
             self._gain(f"layer{i}.attn_norm", d)
@@ -132,8 +133,6 @@ class ByteLM:
         self._gain("final_norm", d)
         self._matrix("lm_head", rng, (d, config.vocab))
         self.by_name = {p.name: p for p in self.params}
-
-        self._spec = config.attention_spec()
 
     def _matrix(self, name: str, rng: Rng, shape) -> None:
         self.params.append(
@@ -201,7 +200,7 @@ class ByteLM:
                 q = apply_rotary_rows(self.rotary, q)
                 k = apply_rotary_rows(self.rotary, k)
             bias = shaw_score_bias(q, self.shaw) if self.shaw is not None else None
-            return softmax_attention(q, k, v, self._spec, score_bias=bias).output
+            return softmax_attention(q, k, v, causal=True, score_bias=bias).output
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:
             return rope_linear_attention(q, k, v, self.rotary, feature_map, causal=True)

@@ -114,6 +114,11 @@ def _sample_batch(corpus: Corpus, rng: Rng, batch_size: int, seq: int):
 
 def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
                config: TrainConfig, start_step: int) -> list[tuple[int, float]]:
+    checkpoint_dir = os.path.dirname(os.fspath(config.checkpoint_path)) or "."
+    if not os.path.isdir(checkpoint_dir):
+        raise DataError(
+            f"checkpoint directory not found: {checkpoint_dir} (for {config.checkpoint_path})"
+        )
     metrics: list[tuple[int, float]] = []
     seq = model.config.context_len
     append = start_step > 0 and os.path.exists(config.metrics_path)

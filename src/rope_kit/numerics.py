@@ -51,7 +51,7 @@ def _u64(value: int) -> np.ndarray:
     Every operand there is a uint64: under numpy's legacy promotion (numpy
     < 2) a Python int mixed with a uint64 array can become float64. A 0-d
     array costs numpy about half as much per ufunc call as an ``np.uint64``
-    scalar, which matters on the many 2- and 4-element draws of ``verify``.
+    scalar.
     """
     return np.array(value, dtype=np.uint64)
 
@@ -193,9 +193,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rope_kit.attention import (
-    AttentionSpec,
     causal_mask,
     feature_map_pair,
     linear_attention,
@@ -39,31 +38,17 @@ def rand_qkv(rng, seq, dim):
     return (Tensor(rng.normal_array((seq, dim))) for _ in range(3))
 
 
-class TestAttentionSpec:
-    def test_rope_needs_even_head_dim(self):
-        with pytest.raises(ConfigurationError):
-            AttentionSpec(heads=1, head_dim=3, pos_encoding="rope")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigurationError):
-            AttentionSpec(heads=1, head_dim=4, variant="quadratic")
-
-    def test_unknown_encoding(self):
-        with pytest.raises(ConfigurationError):
-            AttentionSpec(heads=1, head_dim=4, pos_encoding="alibi")
-
-
 class TestSoftmaxAttention:
     def test_single_token_returns_value(self):
         rng = Rng(1)
         q, k, v = rand_qkv(rng, 1, 4)
-        out = softmax_attention(q, k, v, AttentionSpec(1, 4))
+        out = softmax_attention(q, k, v)
         np.testing.assert_allclose(out.output.data, v.data, atol=1e-15)
 
     def test_equal_scores_average_values(self):
         v = Rng(2).normal_array((3, 4))
         zeros = Tensor(np.zeros((3, 4)))
-        out = softmax_attention(zeros, zeros, Tensor(v), AttentionSpec(1, 4))
+        out = softmax_attention(zeros, zeros, Tensor(v))
         np.testing.assert_allclose(out.output.data, np.tile(v.mean(0), (3, 1)), atol=1e-12)
 
     def test_hand_weights_one_third_two_thirds(self):
@@ -71,7 +56,7 @@ class TestSoftmaxAttention:
         q = Tensor([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         k = Tensor([[0.0, 1.0, 0.0, 0.0], [2.0 * math.log(2.0), 0.0, 0.0, 0.0]])
         v = Tensor(Rng(3).normal_array((2, 4)))
-        out = softmax_attention(q, k, v, AttentionSpec(1, 4))
+        out = softmax_attention(q, k, v)
         np.testing.assert_allclose(out.weights.data[0], [1 / 3, 2 / 3], atol=1e-15)
         np.testing.assert_allclose(
             out.output.data[0], (v.data[0] + 2.0 * v.data[1]) / 3.0, atol=1e-14
@@ -80,13 +65,13 @@ class TestSoftmaxAttention:
     def test_weights_rows_sum_to_one(self):
         rng = Rng(4)
         q, k, v = rand_qkv(rng, 6, 8)
-        out = softmax_attention(q, k, v, AttentionSpec(1, 8, causal=True))
+        out = softmax_attention(q, k, v, causal=True)
         np.testing.assert_allclose(out.weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_causal_mask_zeroes_future(self):
         rng = Rng(5)
         q, k, v = rand_qkv(rng, 5, 4)
-        out = softmax_attention(q, k, v, AttentionSpec(1, 4, causal=True))
+        out = softmax_attention(q, k, v, causal=True)
         upper = out.weights.data[~causal_mask(5)]
         np.testing.assert_array_equal(upper, 0.0)
 
@@ -95,10 +80,9 @@ class TestSoftmaxAttention:
         rng = Rng(6)
         q, k, v = (rng.normal_array((5, 4)) for _ in range(3))
         perm = np.array([3, 0, 4, 2, 1])
-        spec = AttentionSpec(1, 4, causal=False)
-        base = softmax_attention(Tensor(q), Tensor(k), Tensor(v), spec).output.data
+        base = softmax_attention(Tensor(q), Tensor(k), Tensor(v)).output.data
         shuffled = softmax_attention(
-            Tensor(q[perm]), Tensor(k[perm]), Tensor(v[perm]), spec
+            Tensor(q[perm]), Tensor(k[perm]), Tensor(v[perm])
         ).output.data
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-12)
 
@@ -106,12 +90,10 @@ class TestSoftmaxAttention:
         enc = RotaryEncoder(64)
         rng = Rng(7)
         q, k, v = (rng.normal_array((6, 64)) for _ in range(3))
-        spec = AttentionSpec(1, 64, pos_encoding="rope", causal=True)
-
         def run(shift):
             qr = np.stack([apply_rotary(enc, q[t], t + shift) for t in range(6)])
             kr = np.stack([apply_rotary(enc, k[t], t + shift) for t in range(6)])
-            return softmax_attention(Tensor(qr), Tensor(kr), Tensor(v), spec).output.data
+            return softmax_attention(Tensor(qr), Tensor(kr), Tensor(v), causal=True).output.data
 
         np.testing.assert_allclose(run(0), run(311), atol=1e-9)
 
@@ -119,16 +101,15 @@ class TestSoftmaxAttention:
         with pytest.raises(DimensionError):
             softmax_attention(
                 Tensor(np.ones((3, 4))), Tensor(np.ones((4, 4))),
-                Tensor(np.ones((3, 4))), AttentionSpec(1, 4),
+                Tensor(np.ones((3, 4))),
             )
 
     def test_gradient(self):
         rng = Rng(8)
         params = [Parameter(n, rng.normal_array((4, 6))) for n in "qkv"]
-        spec = AttentionSpec(1, 6, causal=True)
 
         def f():
-            out = softmax_attention(*(p.tensor for p in params), spec)
+            out = softmax_attention(*(p.tensor for p in params), causal=True)
             return tensor_sum(out.output * out.output)
 
         assert grad_check(f, params, Rng(9), samples=15) < 1e-6
@@ -150,11 +131,10 @@ class TestShawBias:
         rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
         q = Parameter("q", rng.normal_array((4, 4)))
         v = Tensor(rng.normal_array((4, 4)))
-        spec = AttentionSpec(1, 4, pos_encoding="shaw", causal=True)
 
         def f():
             out = softmax_attention(
-                q.tensor, q.tensor, v, spec, score_bias=shaw_score_bias(q.tensor, rel)
+                q.tensor, q.tensor, v, causal=True, score_bias=shaw_score_bias(q.tensor, rel)
             )
             return tensor_sum(out.output * out.output)
 
@@ -379,7 +359,7 @@ class TestSimilarityAttention:
         direct = similarity_attention(
             q, k, v, lambda a, b: math.exp(float(a @ b) / 2.0)
         )
-        kernel = softmax_attention(Tensor(q), Tensor(k), Tensor(v), AttentionSpec(1, 4))
+        kernel = softmax_attention(Tensor(q), Tensor(k), Tensor(v))
         np.testing.assert_allclose(direct.data, kernel.output.data, atol=1e-12)
 
     def test_delta_kernel_selects_matching_value(self):

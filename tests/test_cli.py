@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rope_kit import analysis, cli
+from rope_kit.harness import ModelConfig
 
 
 def run_cli(*argv):
@@ -113,9 +114,23 @@ class TestBenchCommand:
         assert "outputs agree" in capsys.readouterr().out
 
 
+def train_tiny(corpus, metrics, checkpoint):
+    return run_cli("train", "--corpus", str(corpus), "--steps", "1", "--d-model", "16",
+                   "--heads", "2", "--layers", "1", "--context", "16", "--batch-size", "2",
+                   "--metrics", str(metrics), "--checkpoint", str(checkpoint))
+
+
 class TestTrainCommand:
     def test_missing_corpus(self, tmp_path):
         assert run_cli("train", "--corpus", str(tmp_path / "nope.txt")) == 2
+
+    def test_defaults_come_from_model_config(self, tmp_path, small_corpus, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--corpus", str(small_corpus), "--steps", "1") == 0
+        out = capsys.readouterr().out
+        assert f"model: {ModelConfig()}\n" in out
+        assert (tmp_path / "train-rope.csv").exists()
 
     def test_short_run_writes_artifacts(self, tmp_path, small_corpus, capsys):
         metrics = tmp_path / "run.csv"
@@ -158,12 +173,29 @@ class TestTrainCommand:
         config.write_text("momentum=0.9\n")
         assert run_cli("train", "--config", str(config)) == 2
 
-    @pytest.mark.parametrize("line", ["steps=abc", "lr=fast"])
+    @pytest.mark.parametrize("line", ["steps=abc", "lr=fast", "precision=16", "variant=alibi"])
     def test_config_file_bad_value(self, tmp_path, line, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text(f"# a comment\n{line}\n")
         assert run_cli("train", "--config", str(config)) == 2
         assert f"{config}:2:" in capsys.readouterr().err
+
+    def test_metrics_in_missing_directory_is_a_usage_error(self, tmp_path, small_corpus,
+                                                           capsys):
+        code = train_tiny(small_corpus, tmp_path / "nodir" / "m.csv", tmp_path / "c.ckpt")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_corpus_is_a_usage_error(self, tmp_path, capsys):
+        assert train_tiny(tmp_path, tmp_path / "m.csv", tmp_path / "c.ckpt") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_checkpoint_directory_stops_before_step_one(self, tmp_path, small_corpus,
+                                                               capsys):
+        metrics = tmp_path / "m.csv"
+        assert train_tiny(small_corpus, metrics, tmp_path / "nodir" / "c.ckpt") == 2
+        assert "checkpoint directory not found" in capsys.readouterr().err
+        assert not metrics.exists()
 
     def test_invalid_variant_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +212,15 @@ class TestCompareCommand:
         assert run_cli("compare", str(a), str(b)) == 0
         out = capsys.readouterr().out
         assert "lowest AUC" in out
+
+    @pytest.mark.parametrize("row", ["2,abc", "1,2.0,3"])
+    def test_malformed_row_is_a_data_error(self, tmp_path, row, capsys):
+        good = tmp_path / "good.csv"
+        bad = tmp_path / "bad.csv"
+        good.write_text("step,loss\n1,5.0\n2,4.0\n")
+        bad.write_text(f"step,loss\n1,5.0\n{row}\n")
+        assert run_cli("compare", str(good), str(bad)) == 2
+        assert f"{bad}:3: malformed metrics row" in capsys.readouterr().err
 
     def test_grid_mismatch(self, tmp_path):
         a = tmp_path / "a.csv"

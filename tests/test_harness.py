@@ -75,8 +75,16 @@ class TestModelConfig:
         assert ModelConfig(d_model=64, heads=4).head_dim == 16
 
     def test_odd_head_dim_with_rope_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="needs an even head_dim, got 21"):
             ModelConfig(d_model=63, heads=3, pos_encoding="rope")
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown attention variant 'quadratic'"):
+            ModelConfig(attention_variant="quadratic")
+
+    def test_unknown_encoding_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown position encoding 'alibi'"):
+            ModelConfig(pos_encoding="alibi")
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigurationError):
