@@ -8,10 +8,13 @@ encodings are injected upstream of the projections.
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
 the generic :func:`similarity_attention` double loop serves as the
-quadratic reference they are checked against. The rotary-linear variant
-rotates only the numerator's feature maps and reuses the plain linear
-denominator via the same code path, so the two denominators are
-bit-identical by construction.
+quadratic reference they are checked against. The causal numerator is
+chunkwise: masked quadratic attention inside chunks of 64 positions plus
+a running d x d key-value state between chunks, all in batched matmuls
+(O(seq * (64 + d) * d) time, O(seq * (64 + d) + (seq / 64) * d^2) memory
+per head). The rotary-linear variant rotates only the numerator's
+feature maps and reuses the plain linear denominator via the same code
+path, so the two denominators are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -135,6 +138,10 @@ def feature_map_pair(name: str):
     raise ConfigurationError(f"unknown feature map {name!r} (use 'elu' or 'softmax-exp')")
 
 
+# Positions per chunk of the causal linear numerator (see _linear_core).
+_CHUNK = 64
+
+
 @dataclass
 class LinearAttentionParts:
     output: Tensor
@@ -145,24 +152,58 @@ def _reverse_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(a, axis), axis), axis)
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _chunked(a: np.ndarray, chunks: int, size: int) -> np.ndarray:
+    """(..., seq, d) as (..., chunks, size, d), zero-padding seq up to chunks * size."""
+    pad = chunks * size - a.shape[-2]
+    if pad:
+        a = np.concatenate([a, np.zeros(a.shape[:-2] + (pad, a.shape[-1]), a.dtype)], axis=-2)
+    return a.reshape(a.shape[:-2] + (chunks, size, a.shape[-1]))
+
+
+def _unchunked(a: np.ndarray, seq: int) -> np.ndarray:
+    return a.reshape(a.shape[:-3] + (-1, a.shape[-1]))[..., :seq, :]
+
+
 def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
                  v: Tensor, causal: bool) -> tuple[Tensor, np.ndarray]:
     """Regrouped linear attention: key-value products are aggregated once.
 
     Numerator uses (pq_num, pk_num), denominator (pq_den, pk_den); the
     plain variant passes the same tensors twice, the rotary variant
-    passes rotated maps for the numerator only. Causal attention keeps
-    running prefix sums instead of full sums.
+    passes rotated maps for the numerator only. The denominator is a
+    running (causal) or full sum of key maps dotted with each query map.
+
+    The causal numerator is computed chunkwise over C = min(64, seq)
+    positions, the last chunk zero-padded: inside a chunk it is the
+    masked quadratic form tril(Q K^T) V, and each chunk adds Q S, S
+    being the exclusive prefix sum of the earlier chunks' K^T V states.
+    The backward runs the same matmuls in reverse, with an exclusive
+    suffix sum of Q^T G as the state gradient. Per head that costs
+    O(seq * C * d + seq * d^2) in batched matmuls and holds
+    O(seq * C + seq * d + (seq / C) * d^2) floats; no (seq, d, d)
+    array is built. The non-causal numerator is Q (K^T V).
     """
-    outer = np.einsum("...td,...te->...tde", pk_num.data, v.data)
+    q, k, vals = pq_num.data, pk_num.data, v.data
     if causal:
-        kv = np.cumsum(outer, axis=-3)
-        num = np.einsum("...td,...tde->...te", pq_num.data, kv)
+        seq = q.shape[-2]
+        size = min(_CHUNK, seq)
+        chunks = -(-seq // _CHUNK)
+        q, k, vals = (_chunked(a, chunks, size) for a in (q, k, vals))
+        mask = causal_mask(size)
+        scores = (q @ _swap(k)) * mask
+        states = _swap(k) @ vals
+        prefix = np.zeros_like(states)
+        prefix[..., 1:, :, :] = np.cumsum(states[..., :-1, :, :], axis=-3)
+        num = _unchunked(scores @ vals + q @ prefix, seq)
         z = np.cumsum(pk_den.data, axis=-2)
         den = np.einsum("...td,...td->...t", pq_den.data, z)
     else:
-        kv = outer.sum(axis=-3)
-        num = np.einsum("...td,...de->...te", pq_num.data, kv)
+        kv = _swap(k) @ vals
+        num = q @ kv
         z = pk_den.data.sum(axis=-2)
         den = np.einsum("...td,...d->...t", pq_den.data, z)
     if not (den > 0).all():
@@ -173,18 +214,21 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
         g_num = g / den[..., None]
         g_den = -(g * out_data).sum(axis=-1) / den
         if causal:
-            d_pq_num = np.einsum("...te,...tde->...td", g_num, kv)
-            d_kv = np.einsum("...td,...te->...tde", pq_num.data, g_num)
-            tail = _reverse_cumsum(d_kv, axis=-3)
-            d_pk_num = np.einsum("...tde,...te->...td", tail, v.data)
-            d_v = np.einsum("...tde,...td->...te", tail, pk_num.data)
+            g_num = _chunked(g_num, chunks, size)
+            d_scores = (g_num @ _swap(vals)) * mask
+            d_states = _swap(q) @ g_num
+            suffix = np.zeros_like(d_states)
+            suffix[..., :-1, :, :] = _reverse_cumsum(d_states[..., 1:, :, :], axis=-3)
+            d_pq_num = _unchunked(d_scores @ k + g_num @ _swap(prefix), seq)
+            d_pk_num = _unchunked(_swap(d_scores) @ q + vals @ _swap(suffix), seq)
+            d_v = _unchunked(_swap(scores) @ g_num + k @ suffix, seq)
             d_pq_den = g_den[..., None] * z
             d_pk_den = _reverse_cumsum(g_den[..., None] * pq_den.data, axis=-2)
         else:
-            d_pq_num = np.einsum("...te,...de->...td", g_num, kv)
-            d_kv = np.einsum("...td,...te->...de", pq_num.data, g_num)
-            d_pk_num = np.einsum("...de,...te->...td", d_kv, v.data)
-            d_v = np.einsum("...de,...td->...te", d_kv, pk_num.data)
+            d_pq_num = g_num @ _swap(kv)
+            d_kv = _swap(q) @ g_num
+            d_pk_num = vals @ _swap(d_kv)
+            d_v = k @ d_kv
             d_pq_den = g_den[..., None] * z[..., None, :]
             row = np.einsum("...t,...td->...d", g_den, pq_den.data)
             d_pk_den = np.broadcast_to(row[..., None, :], pk_den.data.shape).copy()

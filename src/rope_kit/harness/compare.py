@@ -21,7 +21,7 @@ __all__ = ["RunComparison", "read_metrics", "compare_runs", "format_table"]
 
 
 def read_metrics(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a metrics CSV into (steps, losses)."""
+    """Parse a metrics CSV into (steps, losses); steps must strictly increase."""
     if not os.path.exists(path):
         raise DataError(f"metrics file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -34,12 +34,17 @@ def read_metrics(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             try:
                 step, loss = line.strip().split(",")
-                steps.append(int(step))
-                losses.append(float(loss))
+                step, loss = int(step), float(loss)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: malformed metrics row {line.strip()!r}"
                 ) from None
+            if steps and step <= steps[-1]:
+                raise DataError(
+                    f"{path}:{lineno}: step {step} does not follow step {steps[-1]}"
+                )
+            steps.append(step)
+            losses.append(loss)
     if not steps:
         raise DataError(f"{path}: no metric rows")
     return np.asarray(steps), np.asarray(losses)

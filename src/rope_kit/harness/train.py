@@ -10,6 +10,7 @@ to that of an uninterrupted run.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -71,8 +72,10 @@ class TrainConfig:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
 
 class AdamState:

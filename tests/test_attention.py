@@ -18,7 +18,7 @@ from rope_kit.attention import (
     similarity_attention,
     softmax_attention,
 )
-from rope_kit.attention import _linear_core
+from rope_kit.attention import _CHUNK, _linear_core
 from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import Parameter, Rng, Tensor, grad_check, tensor_sum
@@ -344,6 +344,86 @@ class TestRopeLinearAttention:
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(26), samples=12) < 1e-6
+
+
+# Chunk boundaries of the causal linear numerator: one position, one
+# short of a chunk, exactly one chunk, one past it, and a ragged third chunk.
+CHUNK_SEQS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+def direct_feature_maps(feature_map, q, k):
+    if feature_map == "elu":
+        return elu1(q), elu1(k)
+    e = np.exp(q - q.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), np.exp(k)
+
+
+def masked_direct(pq_num, pk_num, pq_den, pk_den, v):
+    """Causal linear attention from the full masked (seq, seq) weights."""
+    mask = causal_mask(pq_num.shape[0])
+    num = ((pq_num @ pk_num.T) * mask) @ v
+    den = ((pq_den @ pk_den.T) * mask).sum(axis=1)
+    return num / den[:, None]
+
+
+class TestChunkwiseCausal:
+    @pytest.mark.parametrize("feature_map", ["elu", "softmax-exp"])
+    @pytest.mark.parametrize("seq", CHUNK_SEQS)
+    def test_plain_matches_masked_direct(self, feature_map, seq):
+        rng = Rng(60 + seq)
+        q, k, v = rand_qkv(rng, seq, 8)
+        fast = linear_attention(q, k, v, feature_map, causal=True).data
+        pq, pk = direct_feature_maps(feature_map, q.data, k.data)
+        assert np.abs(fast - masked_direct(pq, pk, pq, pk, v.data)).max() < 1e-10
+
+    @pytest.mark.parametrize("feature_map", ["elu", "softmax-exp"])
+    @pytest.mark.parametrize("seq", CHUNK_SEQS)
+    def test_rotary_matches_masked_direct(self, feature_map, seq):
+        rng = Rng(70 + seq)
+        q, k, v = rand_qkv(rng, seq, 8)
+        enc = RotaryEncoder(8)
+        roped = rope_linear_attention_parts(q, k, v, enc, feature_map, causal=True)
+        plain = linear_attention_parts(q, k, v, feature_map, causal=True)
+        assert np.array_equal(roped.denominator, plain.denominator)
+        pq, pk = direct_feature_maps(feature_map, q.data, k.data)
+        rot = dense_rotation_matrix(make_schedule(8), np.arange(seq))
+        pq_rot = np.einsum("tij,tj->ti", rot, pq)
+        pk_rot = np.einsum("tij,tj->ti", rot, pk)
+        direct = masked_direct(pq_rot, pk_rot, pq, pk, v.data)
+        assert np.abs(roped.output.data - direct).max() < 1e-10
+
+    @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
+    def test_gradient_across_chunks(self, rotary):
+        rng = Rng(80)
+        enc = RotaryEncoder(4)
+        params = [Parameter(n, rng.normal_array((_CHUNK + 3, 4))) for n in "qkv"]
+
+        def f():
+            q, k, v = (p.tensor for p in params)
+            if rotary:
+                out = rope_linear_attention(q, k, v, enc, "elu", causal=True)
+            else:
+                out = linear_attention(q, k, v, "elu", causal=True)
+            return tensor_sum(out * out)
+
+        assert grad_check(f, params, Rng(81), samples=24) < 1e-6
+
+    def test_memory_peak_at_long_context(self):
+        # Chunked, the core holds (seq/64) d x d states; the (seq, d, d)
+        # prefix sum of outer products it replaces is 4 MB per copy here.
+        rng = Rng(82)
+        params = [Parameter(n, rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
+                  for n in "qkv"]
+        tracemalloc.start()
+        try:
+            out = rope_linear_attention(*(p.tensor for p in params), RotaryEncoder(32),
+                                        "elu", causal=True)
+            tensor_sum(out).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params[0].gradient.shape == (1, 2, 512, 32)
+        assert peak < 6 * 2**20
 
 
 class TestSimilarityAttention:

@@ -197,6 +197,16 @@ class TestTrainCommand:
         assert "checkpoint directory not found" in capsys.readouterr().err
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_a_usage_error(self, tmp_path, small_corpus, lr, capsys):
+        metrics = tmp_path / "m.csv"
+        code = run_cli("train", "--corpus", str(small_corpus), "--steps", "1",
+                       "--lr", lr, "--metrics", str(metrics),
+                       "--checkpoint", str(tmp_path / "c.ckpt"))
+        assert code == 2
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not metrics.exists()
+
     def test_invalid_variant_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--variant", "alibi")

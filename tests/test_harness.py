@@ -149,6 +149,12 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             run_config(tmp_path, small_corpus, "zero", steps=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, tmp_path, small_corpus, lr):
+        # nan <= 0 is false, so a sign test alone lets nan through
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            run_config(tmp_path, small_corpus, "lr", learning_rate=lr)
+
     def test_corpus_shorter_than_context_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_bytes(b"abcdefgh")
@@ -367,6 +373,23 @@ class TestCompareRuns:
         a.write_text("step,loss\n1,2.0\n2,1.5\n")
         b.write_text("step,loss\n1,2.0\n3,1.5\n")
         with pytest.raises(DataError):
+            compare_runs([a, b])
+
+    @pytest.mark.parametrize("rows", ["1,2.0\n2,1.5\n2,1.0\n", "1,2.0\n3,1.5\n2,1.0\n"],
+                             ids=["repeated", "decreasing"])
+    def test_steps_must_strictly_increase(self, tmp_path, rows):
+        path = tmp_path / "a.csv"
+        path.write_text("step,loss\n" + rows)
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: step 2 does not follow")):
+            read_metrics(path)
+
+    def test_descending_grid_not_compared(self, tmp_path):
+        # a descending grid would give negative areas and crown the worse run
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("step,loss\n2,1.0\n1,2.0\n")
+        b.write_text("step,loss\n2,3.0\n1,4.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{a}:3:")):
             compare_runs([a, b])
 
     def test_needs_two_files(self, tmp_path):
