@@ -19,6 +19,8 @@ path, so the two denominators are bit-identical by construction.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,8 @@ import numpy as np
 from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
-    Tensor, _as_tensor, as_array, elu_plus_one, exp, matmul, softmax_rows, tape_op, transpose,
+    Tensor, _as_tensor, _check_finite, _unbroadcast, as_array, elu_plus_one, exp, softmax_rows,
+    tape_op,
 )
 from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
 
@@ -54,12 +57,19 @@ POS_ENCODINGS = ("rope", "sinusoidal", "learned", "shaw", "none")
 @dataclass
 class AttentionOutput:
     output: Tensor
-    weights: Tensor | None = None
+    weights: np.ndarray | None = None
 
 
+@functools.lru_cache(maxsize=1)
 def causal_mask(seq: int) -> np.ndarray:
-    """(seq, seq) bool, True where key position <= query position."""
-    return np.tril(np.ones((seq, seq), dtype=bool))
+    """Read-only (seq, seq) bool, True where key position <= query position.
+
+    The mask of the most recent length is kept, so a model at a fixed
+    context builds it once.
+    """
+    mask = np.tril(np.ones((seq, seq), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> int:
@@ -70,25 +80,67 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> int:
     return q.data.shape[-2]
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                       score_bias: Tensor | None = None) -> AttentionOutput:
-    """Scaled dot-product attention with row-normalized weights.
+    """Scaled dot-product attention with row-normalized weights, one tape op.
 
-    ``score_bias`` (shape (..., seq, seq)) is added to the raw q.k scores
-    before 1/sqrt(d) scaling, d being q's last axis; it carries the
-    clipped-relative key term when that baseline is active. Causal
-    masking excludes keys after the query position. Rotary encoding is
-    applied to q and k by the caller.
+    ``score_bias`` (broadcastable to (..., seq, seq)) is added to the raw
+    q.k scores before 1/sqrt(d) scaling, d being q's last axis; it
+    carries the clipped-relative key term when that baseline is active.
+    Causal masking excludes keys after the query position. Rotary
+    encoding is applied to q and k by the caller.
+
+    The scores, the softmax and its normalisation are computed in place
+    in one (..., seq, seq) buffer, which becomes the probabilities P;
+    non-finite scores raise ``NumericError``. The backward keeps only P,
+    as in the FlashAttention backward (Dao et al. 2022) without tiling:
+    dP = G V^T, dV = P^T G, dS = P * (dP - rowsum(dP * P)) / sqrt(d),
+    dQ = dS K, dK = (Q^T dS)^T, and dS is also the bias gradient.
+    ``weights`` is P as a read-only array, off the tape.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     seq = _check_qkv(q, k, v)
-    scores = matmul(q, transpose(k))
-    if score_bias is not None:
-        scores = scores + score_bias
-    scores = scores * (1.0 / np.sqrt(q.data.shape[-1]))
-    mask = causal_mask(seq) if causal else None
-    weights = softmax_rows(scores, mask=mask)
-    return AttentionOutput(output=matmul(weights, v), weights=weights)
+    parents = (q, k, v)
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+        probs = q.data @ _swap(k.data)
+        if score_bias is not None:
+            score_bias = _as_tensor(score_bias)
+            parents += (score_bias,)
+            try:
+                probs += score_bias.data
+            except ValueError:
+                raise DimensionError(
+                    f"score_bias shape {score_bias.data.shape} does not broadcast to "
+                    f"scores shape {probs.shape}"
+                ) from None
+        probs *= scale
+    _check_finite(probs, "softmax_attention scores")
+    if causal:
+        np.copyto(probs, -np.inf, where=~causal_mask(seq))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs.setflags(write=False)
+
+    def grad_fn(g):
+        d_scores = g @ _swap(v.data)
+        d_v = _swap(probs) @ g
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_scores *= scale
+        d_q = d_scores @ k.data
+        d_k = _swap(_swap(q.data) @ d_scores)
+        if score_bias is None:
+            return d_q, d_k, d_v
+        return d_q, d_k, d_v, _unbroadcast(d_scores, score_bias.data.shape)
+
+    out = tape_op(probs @ v.data, parents, grad_fn, name="softmax_attention")
+    return AttentionOutput(output=out, weights=probs)
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
@@ -150,10 +202,6 @@ class LinearAttentionParts:
 
 def _reverse_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(a, axis), axis), axis)
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
 
 
 def _chunked(a: np.ndarray, chunks: int, size: int) -> np.ndarray:

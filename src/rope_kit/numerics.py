@@ -5,6 +5,17 @@ micrograd-style, as per-op backward closures over whole tensors, and
 replayed in reverse topological order. Every op checks its output for
 NaN/Inf and raises ``NumericError`` instead of letting bad values
 propagate. Verification code runs in float64; training may use float32.
+
+Gradients accumulate by first write: the first gradient a tensor
+receives becomes its ``grad`` and later ones are added into it with
+``+=``. The first gradient is stored without a copy only when the op's
+backward made it fresh for that parent: an ndarray that owns its memory
+(``base is None``), is not the incoming gradient itself, has the
+parent's dtype and is not also handed to an earlier parent of the same
+op. Otherwise it is copied in the parent's dtype. So ``x + x`` (which
+passes the incoming gradient to both parents), views such as a
+transpose's, and one array returned for two parents never alias
+another tensor's ``grad``.
 """
 
 from __future__ import annotations
@@ -270,10 +281,12 @@ def as_array(x) -> np.ndarray:
 def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tensor:
     """Wire a raw numpy result into the tape.
 
-    ``grad_fn(out_grad)`` must return one gradient array per parent
-    (``None`` to skip a parent). Gradient accumulation, requires_grad
+    ``grad_fn(out_grad)`` must return a tuple with one gradient array per
+    parent (``None`` to skip a parent). Gradient accumulation, requires_grad
     propagation and finiteness checking are handled here so fused ops in
-    other modules only supply the math.
+    other modules only supply the math. A parent's first gradient is
+    stored as is when ``grad_fn`` made it fresh for that parent (see the
+    module docstring); any other first gradient is copied.
     """
     _check_finite(np.asarray(data), name)
     out = Tensor.__new__(Tensor)
@@ -286,16 +299,21 @@ def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tens
 
         def _backward(out_grad):
             grads = grad_fn(out_grad)
-            for parent, g in zip(parents, grads):
+            for i, (parent, g) in enumerate(zip(parents, grads)):
                 if g is None or not parent.requires_grad:
                     continue
                 if g.shape != parent.data.shape:
                     raise DimensionError(
                         f"{name}: gradient shape {g.shape} != value shape {parent.data.shape}"
                     )
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                if parent.grad is not None:
+                    parent.grad += g
+                elif (isinstance(g, np.ndarray) and g.base is None and g is not out_grad
+                      and g.dtype == parent.data.dtype
+                      and not any(g is earlier for earlier in grads[:i])):
+                    parent.grad = g
+                else:
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
             return None
 
         out._parents = parents

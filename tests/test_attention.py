@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from rope_kit.attention import (
 from rope_kit.attention import _CHUNK, _linear_core
 from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
-from rope_kit.numerics import Parameter, Rng, Tensor, grad_check, tensor_sum
+from rope_kit.numerics import (
+    Parameter, Rng, Tensor, grad_check, matmul, softmax_rows, tensor_sum, transpose,
+)
 from rope_kit.rotary import RotaryEncoder, apply_rotary, dense_rotation_matrix, make_schedule
 
 
@@ -57,7 +60,7 @@ class TestSoftmaxAttention:
         k = Tensor([[0.0, 1.0, 0.0, 0.0], [2.0 * math.log(2.0), 0.0, 0.0, 0.0]])
         v = Tensor(Rng(3).normal_array((2, 4)))
         out = softmax_attention(q, k, v)
-        np.testing.assert_allclose(out.weights.data[0], [1 / 3, 2 / 3], atol=1e-15)
+        np.testing.assert_allclose(out.weights[0], [1 / 3, 2 / 3], atol=1e-15)
         np.testing.assert_allclose(
             out.output.data[0], (v.data[0] + 2.0 * v.data[1]) / 3.0, atol=1e-14
         )
@@ -66,13 +69,13 @@ class TestSoftmaxAttention:
         rng = Rng(4)
         q, k, v = rand_qkv(rng, 6, 8)
         out = softmax_attention(q, k, v, causal=True)
-        np.testing.assert_allclose(out.weights.data.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_causal_mask_zeroes_future(self):
         rng = Rng(5)
         q, k, v = rand_qkv(rng, 5, 4)
         out = softmax_attention(q, k, v, causal=True)
-        upper = out.weights.data[~causal_mask(5)]
+        upper = out.weights[~causal_mask(5)]
         np.testing.assert_array_equal(upper, 0.0)
 
     def test_position_agnostic_without_encoding(self):
@@ -113,6 +116,103 @@ class TestSoftmaxAttention:
             return tensor_sum(out.output * out.output)
 
         assert grad_check(f, params, Rng(9), samples=15) < 1e-6
+
+    def test_weights_are_a_read_only_array(self):
+        rng = Rng(89)
+        q, k, v = rand_qkv(rng, 4, 4)
+        weights = softmax_attention(q, k, v, causal=True).weights
+        assert type(weights) is np.ndarray
+        assert not weights.flags.writeable
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
+    def test_gradient_with_bias(self, target, causal):
+        # T = 67 rows in two heads; the (T, T) bias broadcasts over the heads.
+        rng = Rng(90)
+        params = {n: Parameter(n, rng.normal_array((2, 67, 4))) for n in "qkv"}
+        params["bias"] = Parameter("bias", rng.normal_array((67, 67)))
+
+        def f():
+            q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
+            out = softmax_attention(q, k, v, causal=causal, score_bias=bias)
+            return tensor_sum(out.output * out.output)
+
+        assert grad_check(f, [params[target]], Rng(91), samples=12) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_matches_composed_tape_ops_bit_for_bit(self, with_bias, causal, dtype):
+        # The fused op is the old chain of six tape ops, reordered in place.
+        rng = Rng(93)
+        arrays = [rng.normal_array((2, 2, 19, 8)) for _ in range(4)]
+
+        def run(fused):
+            params = [Parameter(n, a, dtype=dtype) for n, a in zip("qkv", arrays)]
+            if with_bias:
+                params.append(Parameter("bias", arrays[3] @ arrays[3].swapaxes(-1, -2),
+                                        dtype=dtype))
+            q, k, v = (p.tensor for p in params[:3])
+            bias = params[3].tensor if with_bias else None
+            if fused:
+                out = softmax_attention(q, k, v, causal=causal, score_bias=bias).output
+            else:
+                scores = matmul(q, transpose(k))
+                if bias is not None:
+                    scores = scores + bias
+                scores = scores * (1.0 / np.sqrt(8))
+                weights = softmax_rows(scores, mask=causal_mask(19) if causal else None)
+                out = matmul(weights, v)
+            tensor_sum(out * out).backward()
+            return [out.data] + [p.gradient for p in params]
+
+        for fused, composed in zip(run(True), run(False)):
+            assert fused.dtype == composed.dtype
+            assert np.array_equal(fused, composed)
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_overflowing_scores_raise_without_warning(self, with_bias):
+        # q.k overflows in the product itself, or only once the bias is added.
+        size = 5e153 if with_bias else 1e200
+        q = Tensor(np.full((3, 4), size))
+        bias = Tensor(np.full((3, 3), 1.7e308)) if with_bias else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="softmax_attention"):
+                softmax_attention(q, q, Tensor(np.ones((3, 4))), causal=True, score_bias=bias)
+
+    def test_bias_that_does_not_broadcast(self):
+        q = Tensor(np.ones((3, 4)))
+        with pytest.raises(DimensionError, match="score_bias"):
+            softmax_attention(q, q, q, score_bias=Tensor(np.ones((2, 3, 3))))
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_memory_peak_at_long_context(self, with_bias):
+        # The backward keeps only the probabilities: forward and backward
+        # together hold about three (seq, seq) arrays, 2 MB each here.
+        rng = Rng(92)
+        params = [Parameter(n, rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
+                  for n in "qkv"]
+        bias = None
+        if with_bias:
+            bias = Parameter("bias", rng.normal_array((1, 2, 512, 512)), dtype=np.float32).tensor
+        tracemalloc.start()
+        try:
+            out = softmax_attention(*(p.tensor for p in params), causal=True, score_bias=bias)
+            tensor_sum(out.output).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params[0].gradient.shape == (1, 2, 512, 32)
+        assert peak < 9 * 2**20
+
+
+def test_causal_mask_is_one_read_only_memo():
+    mask = causal_mask(7)
+    assert causal_mask(7) is mask
+    assert not mask.flags.writeable
+    np.testing.assert_array_equal(mask, np.tril(np.ones((7, 7), dtype=bool)))
+    assert causal_mask(3).shape == (3, 3)
 
 
 class TestShawBias:

@@ -18,10 +18,13 @@ from rope_kit.numerics import (
     grad_check,
     matmul,
     mean,
+    reshape,
     rmsnorm,
     softmax_rows,
     take_rows,
+    tape_op,
     tensor_sum,
+    transpose,
 )
 
 LN2 = math.log(2.0)
@@ -313,6 +316,62 @@ class TestElementwise:
         np.testing.assert_array_equal(table.gradient[:, 0], [1.0, 0.0, 2.0, 1.0])
         with pytest.raises(IndexError):
             take_rows(table.tensor, [4])
+
+
+def leaf(values, dtype=np.float64) -> Tensor:
+    return Tensor(np.asarray(values, dtype=dtype), requires_grad=True)
+
+
+class TestFirstWrite:
+    """A tensor's first gradient is stored without a copy only when it is
+    fresh for that tensor; these pin the cases where it must be copied."""
+
+    def test_x_plus_x(self):
+        # _add hands the incoming gradient itself to both parents.
+        x = leaf([1.0, -2.0, 3.0])
+        y = x + x
+        tensor_sum(y * Tensor([1.0, 10.0, 100.0])).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 20.0, 200.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 10.0, 100.0])
+
+    def test_x_times_x(self):
+        x = leaf([1.0, -2.0, 3.0])
+        tensor_sum(x * x).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+
+    def test_one_fresh_array_for_two_parents(self):
+        a, b = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        out = tape_op(a.data + b.data, (a, b), lambda g: (2.0 * g,) * 2, name="twin")
+        tensor_sum(out).backward()
+        assert a.grad is not b.grad
+        a.grad[0] = 99.0
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
+    def test_gradient_in_another_dtype_is_cast(self):
+        a = leaf([1.0, 2.0], dtype=np.float32)
+        out = tape_op(a.data * 3, (a,), lambda g: (np.full(2, 1 / 3),), name="wide")
+        tensor_sum(out).backward()
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, np.float32(1 / 3))
+
+    def test_writing_one_grad_leaves_the_others(self):
+        rng = Rng(17)
+        a, b, w = (leaf(rng.normal_array(shape)) for shape in ((2, 3), (2, 3), (3, 3)))
+        s = a + b
+        t = transpose(s)
+        r = reshape(t, (6,))
+        m = matmul(a, w)
+        e = exp(b)
+        loss = tensor_sum(r * r) + mean(m) + tensor_sum(e)
+        loss.backward()
+        nodes = [a, b, w, s, t, r, m, e, loss]
+        before = [n.grad.copy() for n in nodes]
+        for i, node in enumerate(nodes):
+            node.grad[...] = 7.0
+            for j, other in enumerate(nodes):
+                if j != i:
+                    np.testing.assert_array_equal(other.grad, before[j])
+            node.grad[...] = before[i]
 
 
 class TestGradCheck:

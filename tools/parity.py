@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Parity probe: digests of rope-kit's artifacts, to compare two checkouts.
+
+    python3 tools/parity.py --out change.json
+    python3 tools/parity.py --tree ../parent --out parent.json
+    python3 tools/parity.py --compare parent.json change.json [--rtol 1e-6]
+
+A probe runs the ``rope-kit`` commands of the checkout at ``--tree``
+(default: the one holding this script) with that checkout's ``src/`` on
+PYTHONPATH and one BLAS thread, in a temporary directory, and writes one
+JSON file holding a sha256 of each artifact:
+
+- the ``verify`` tables at seeds 0, 42 and 2104, with suite times masked;
+- the metrics and checkpoint bytes of a 15-step float32 run of each
+  config in ``RUNS``;
+- the stdout, metrics and checkpoint of a default-settings
+  ``train --steps 2`` run;
+- the ``bench`` agreement line.
+
+The same file holds the per-step losses of a 50-step float64 run of
+each config in ``RUNS``. Every run trains on one corpus generated here
+from a fixed seed, so two probes see the same bytes.
+
+``--compare`` reports every digest and every loss series that differs.
+Without ``--rtol`` any difference fails the comparison (exit 1). With
+``--rtol`` the loss series are compared to that relative tolerance and
+only they decide the exit status: digest differences are still listed.
+Digests depend on the host, because OpenBLAS picks its kernels per CPU,
+so compare only files written on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import platform
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+VERIFY_SEEDS = (0, 42, 2104)
+CTX64 = ("--d-model", "32", "--heads", "2", "--layers", "2", "--context", "64",
+         "--batch-size", "8")
+CTX512 = ("--d-model", "64", "--heads", "2", "--layers", "2", "--context", "512",
+          "--batch-size", "1")
+RUNS = {
+    **{f"ctx64.{enc}-softmax": CTX64 + ("--variant", enc, "--attention", "softmax")
+       for enc in ("rope", "sinusoidal", "learned", "shaw", "none")},
+    "ctx64.rope-linear-elu": CTX64 + ("--variant", "rope", "--attention", "linear-elu"),
+    "ctx64.none-linear-softmax": CTX64 + ("--variant", "none", "--attention", "linear-softmax"),
+    **{f"ctx512.{enc}-softmax": CTX512 + ("--variant", enc, "--attention", "softmax")
+       for enc in ("rope", "shaw")},
+}
+DIGEST_STEPS = 15
+LOSS_STEPS = 50
+WORDS = ("the of and a to in is was he for it with as his on be at by had not are but "
+         "from or have an they which one you were her all she there would their we him "
+         "been has when who will more no if out so said what up its about into than").split()
+SUITE_TIME = re.compile(rb"\[\s*\d+\.\d+s\]")
+
+
+def corpus_bytes(size: int = 200_000, seed: int = 2104) -> bytes:
+    """Deterministic pseudo-English word salad with sentence breaks."""
+    rng = random.Random(seed)
+    words, total = [], 0
+    while total < size:
+        word = rng.choice(WORDS) + ("." if rng.random() < 0.08 else "")
+        words.append(word)
+        total += len(word) + 1
+    return " ".join(words).encode()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    return sha256(path.read_bytes()) if path.exists() else "missing"
+
+
+class Probe:
+    """Runs rope-kit commands of one checkout in a scratch directory."""
+
+    def __init__(self, tree: Path, work: Path):
+        self.work = work
+        self.env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                        OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        self.corpus = work / "corpus.txt"
+        self.corpus.write_bytes(corpus_bytes())
+
+    def run(self, *args: str) -> bytes:
+        """The command's stdout, prefixed by its exit status."""
+        code = "import sys; from rope_kit.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, *args], cwd=self.work,
+                              env=self.env, capture_output=True)
+        return f"exit {proc.returncode}\n".encode() + proc.stdout
+
+    def train(self, name: str, flags: tuple, steps: int, precision: int) -> tuple[Path, Path]:
+        metrics = self.work / f"{name}.{precision}.csv"
+        checkpoint = self.work / f"{name}.{precision}.ckpt"
+        self.run("train", "--corpus", str(self.corpus), "--steps", str(steps),
+                 "--precision", str(precision), "--metrics", str(metrics),
+                 "--checkpoint", str(checkpoint), *flags)
+        return metrics, checkpoint
+
+
+def read_losses(path: Path) -> list[float] | None:
+    if not path.exists():
+        return None
+    with open(path, newline="") as fh:
+        return [float(row[1]) for row in list(csv.reader(fh))[1:]]
+
+
+def probe(tree: Path) -> dict:
+    digests, losses = {}, {}
+    with tempfile.TemporaryDirectory(prefix="rope-kit-parity-") as tmp:
+        p = Probe(tree, Path(tmp))
+        for seed in VERIFY_SEEDS:
+            table = p.run("verify", "--seed", str(seed))
+            digests[f"verify.seed{seed}"] = sha256(SUITE_TIME.sub(b"[time]", table))
+        for name, flags in RUNS.items():
+            metrics, checkpoint = p.train(name, flags, DIGEST_STEPS, 32)
+            digests[f"{name}.metrics"] = file_digest(metrics)
+            digests[f"{name}.checkpoint"] = file_digest(checkpoint)
+            losses[name] = read_losses(p.train(name, flags, LOSS_STEPS, 64)[0])
+        stdout = p.run("train", "--corpus", str(p.corpus), "--steps", "2")
+        digests["train-defaults.stdout"] = sha256(stdout)
+        digests["train-defaults.metrics"] = file_digest(p.work / "train-rope.csv")
+        digests["train-defaults.checkpoint"] = file_digest(p.work / "train-rope.ckpt")
+        bench = [line for line in p.run("bench", "--reps", "1").splitlines()
+                 if line.startswith((b"outputs agree", b"FAIL"))]
+        digests["bench.agreement"] = sha256(b"\n".join(bench))
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "nproc": os.cpu_count(), "machine": platform.machine()}
+    return {"tree": str(tree), "env": env, "digests": digests, "losses": losses}
+
+
+def max_relative_difference(a: list[float], b: list[float]) -> float:
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+
+
+def compare(a: dict, b: dict, rtol: float | None) -> int:
+    """Print every difference; return the number that fail the comparison."""
+    failing = 0
+    for key in sorted(a["digests"].keys() | b["digests"].keys()):
+        if a["digests"].get(key) != b["digests"].get(key):
+            print(f"digest differs: {key}")
+            failing += rtol is None
+    for key in sorted(a["losses"].keys() | b["losses"].keys()):
+        x, y = a["losses"].get(key), b["losses"].get(key)
+        if x is None or y is None or len(x) != len(y):
+            print(f"loss series {key}: missing or of another length")
+            failing += 1
+        elif x != y:
+            worst = max_relative_difference(x, y)
+            within = rtol is not None and worst <= rtol
+            verdict = f"within rtol {rtol:g}" if within else "differs"
+            print(f"loss series {key}: max relative difference {worst:.2e}, {verdict}")
+            failing += not within
+    print("identical" if failing == 0 and a["digests"] == b["digests"] and a["losses"] == b["losses"]
+          else f"{failing} difference(s) fail the comparison")
+    return failing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to probe (default: this script's)")
+    parser.add_argument("--out", type=Path, help="JSON file to write")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two probe files instead of probing")
+    parser.add_argument("--rtol", type=float,
+                        help="with --compare: relative tolerance for the loss series")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(path.read_text()) for path in args.compare)
+        return 1 if compare(a, b, args.rtol) else 0
+    if args.out is None:
+        parser.error("--out is required unless --compare is given")
+    if not (args.tree / "src" / "rope_kit").is_dir():
+        parser.error(f"no src/rope_kit under {args.tree}")
+    args.out.write_text(json.dumps(probe(args.tree.resolve()), indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
