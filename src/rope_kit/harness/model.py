@@ -27,10 +27,8 @@ from ..numerics import (
     Rng,
     Tensor,
     cross_entropy,
-    gelu,
-    matmul,
-    permute,
-    reshape,
+    ffn,
+    linear,
     rmsnorm,
     take_rows,
 )
@@ -161,7 +159,7 @@ class ByteLM:
                 f"token blocks must be (batch, seq), got {x_tokens.shape} / {y_tokens.shape}"
             )
         cfg = self.config
-        batch, seq = x_tokens.shape
+        seq = x_tokens.shape[1]
         if seq > cfg.context_len:
             raise ConfigurationError(f"sequence {seq} exceeds context {cfg.context_len}")
 
@@ -173,25 +171,17 @@ class ByteLM:
 
         for i in range(cfg.layers):
             a = rmsnorm(h, self._p(f"layer{i}.attn_norm"))
-            q = self._heads(matmul(a, self._p(f"layer{i}.wq")), batch, seq)
-            k = self._heads(matmul(a, self._p(f"layer{i}.wk")), batch, seq)
-            v = self._heads(matmul(a, self._p(f"layer{i}.wv")), batch, seq)
-            out = self._attend(q, k, v)
-            out = reshape(permute(out, (0, 2, 1, 3)), (batch, seq, cfg.d_model))
-            h = h + matmul(out, self._p(f"layer{i}.wo"))
+            q, k, v = (linear(a, self._p(f"layer{i}.w{name}"), split_heads=cfg.heads)
+                       for name in "qkv")
+            out = self._attend(q, k, v)  # (batch, heads, seq, head_dim)
+            h = h + linear(out, self._p(f"layer{i}.wo"), merge_heads=True)
 
             f = rmsnorm(h, self._p(f"layer{i}.ffn_norm"))
-            f = matmul(gelu(matmul(f, self._p(f"layer{i}.w1"))), self._p(f"layer{i}.w2"))
-            h = h + f
+            h = h + ffn(f, self._p(f"layer{i}.w1"), self._p(f"layer{i}.w2"))
 
         h = rmsnorm(h, self._p("final_norm"))
-        logits = reshape(matmul(h, self._p("lm_head")), (batch * seq, cfg.vocab))
+        logits = linear(h, self._p("lm_head"), flat=True)
         return cross_entropy(logits, y_tokens.reshape(-1))
-
-    def _heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        cfg = self.config
-        split = reshape(x, (batch, seq, cfg.heads, cfg.head_dim))
-        return permute(split, (0, 2, 1, 3))  # (batch, heads, seq, head_dim)
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         cfg = self.config

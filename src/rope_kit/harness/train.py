@@ -141,9 +141,9 @@ def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
             try:
                 loss = model.loss(x, y)
                 loss.backward()
-            except NumericError:
+            except NumericError as err:
                 fh.flush()  # keep the partial metrics on divergence
-                raise
+                raise NumericError(f"step {step}: {err}") from err
             adam_step(model, adam, config.learning_rate)
             value = float(loss.item())
             metrics.append((step, value))

@@ -32,6 +32,8 @@ __all__ = [
     "Parameter",
     "tape_op",
     "matmul",
+    "linear",
+    "ffn",
     "transpose",
     "permute",
     "reshape",
@@ -384,6 +386,92 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape_op(data, (a, b), grad_fn, name="matmul")
 
 
+def _weight_shape(w: Tensor, d_in: int, op: str) -> tuple[int, int]:
+    if w.data.ndim != 2 or w.data.shape[0] != d_in:
+        raise DimensionError(f"{op}: weight {w.data.shape} does not map rows of width {d_in}")
+    return w.data.shape
+
+
+def _gemm_into(shape: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into a fresh array of ``shape`` (same size as the product)."""
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.reshape(a.shape[0], b.shape[1]))
+    return out
+
+
+def linear(x: Tensor, w: Tensor, split_heads: int = 0, merge_heads: bool = False,
+           flat: bool = False) -> Tensor:
+    """``x @ w`` for a 2-d weight as one GEMM over the rows of ``x``; one tape op.
+
+    ``x`` is read as rows of its last axis, or, with ``merge_heads``, a
+    (batch, heads, seq, head_dim) array as (batch * seq, heads * head_dim)
+    rows, the heads of one position side by side. The product comes back
+    with ``x``'s leading axes ((batch, seq) when merging) and ``w``'s
+    output width; as (rows, d_out) with ``flat``; or, with
+    ``split_heads=h``, as the (batch, h, seq, d_out / h) transposed view
+    of the (batch, seq, d_out) product. The backward is two 2-d GEMMs,
+    ``gx = g wᵀ`` and ``gw = xᵀ g``, and both gradients own their memory.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if merge_heads:
+        if x.data.ndim != 4:
+            raise DimensionError(f"linear: merge_heads needs (batch, heads, seq, dim), "
+                                 f"got {x.data.shape}")
+        batch, heads, seq, dim = x.data.shape
+        lead = (batch, seq)
+        rows = x.data.transpose(0, 2, 1, 3).reshape(batch * seq, heads * dim)
+    else:
+        lead = x.data.shape[:-1]
+        rows = x.data.reshape(-1, x.data.shape[-1])
+    _, d_out = _weight_shape(w, rows.shape[1], "linear")
+    product = rows @ w.data
+    if split_heads:
+        if flat or len(lead) != 2 or d_out % split_heads:
+            raise DimensionError(f"linear: cannot split {lead + (d_out,)} into "
+                                 f"{split_heads} heads")
+        data = product.reshape(lead + (split_heads, -1)).transpose(0, 2, 1, 3)
+    else:
+        data = product if flat else product.reshape(lead + (d_out,))
+
+    def grad_fn(g):
+        if split_heads:
+            g = g.transpose(0, 2, 1, 3)
+        g = g.reshape(-1, d_out)
+        if merge_heads:
+            gx = (g @ w.data.T).reshape(batch, seq, heads, dim).transpose(0, 2, 1, 3)
+            gx = np.ascontiguousarray(gx)
+        else:
+            gx = _gemm_into(x.data.shape, g, w.data.T)
+        return gx, rows.T @ g
+
+    return tape_op(data, (x, w), grad_fn, name="linear")
+
+
+def ffn(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``gelu(x @ w1) @ w2`` over the rows of ``x``'s last axis; one tape op.
+
+    Both products are 2-d GEMMs over the flattened rows and the GELU runs
+    in place (see :func:`gelu`, whose kernel it shares). The tape keeps
+    the hidden pre-activation, its tanh and its activation, as the
+    ``matmul``, ``gelu``, ``matmul`` chain did. The backward returns
+    gradients that own their memory.
+    """
+    x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    _, hidden = _weight_shape(w1, rows.shape[1], "ffn")
+    _, d_out = _weight_shape(w2, hidden, "ffn")
+    pre = _check_finite(rows @ w1.data, "ffn")
+    act, t = _gelu_forward(pre)
+
+    def grad_fn(g):
+        g = g.reshape(-1, d_out)
+        g_pre = _gelu_backward(g @ w2.data.T, pre, t)
+        return _gemm_into(x.data.shape, g_pre, w1.data.T), rows.T @ g_pre, act.T @ g
+
+    return tape_op((act @ w2.data).reshape(x.data.shape[:-1] + (d_out,)), (x, w1, w2),
+                   grad_fn, name="ffn")
+
+
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     data = np.swapaxes(a.data, -1, -2)
@@ -415,19 +503,55 @@ def mean(a: Tensor) -> Tensor:
     )
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_CUBIC = 0.044715
+
+
+def _gelu_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation) of ``u`` and the tanh it kept: ``(a, t)``.
+
+    ``t = tanh(c (u + 0.044715 u^3))`` and ``a = 0.5 u (1 + t)``, built in
+    place in two buffers with the rounding order of that expression
+    (``u^3`` as ``(u u) u``: float32 ``u**3`` takes numpy's slow pow
+    path). A huge ``|u|`` overflows ``u^3`` to inf, which tanh saturates,
+    so ``a`` is finite wherever ``u`` is.
+    """
+    with np.errstate(over="ignore"):
+        t = u * u
+        t *= u
+    t *= _GELU_CUBIC
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    a = u * 0.5
+    a *= 1.0 + t
+    return a, t
+
+
+def _gelu_backward(g: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``g * gelu'(u)`` as a fresh array, from the forward's ``t``:
+    ``0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)``, factor by factor."""
+    inner = u * u
+    inner *= 3 * _GELU_CUBIC
+    inner += 1.0
+    inner *= _GELU_C
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    slope = u * 0.5
+    slope *= out
+    slope *= inner
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out += slope
+    out *= g
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit (tanh approximation); smooth everywhere."""
     x = a.data
-    c = math.sqrt(2.0 / math.pi)
-    inner = c * (x + 0.044715 * (x * x * x))  # float32 x**3 takes numpy's slow pow path
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
-
-    def grad_fn(g):
-        dinner = c * (1.0 + 3 * 0.044715 * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner),)
-
-    return tape_op(data, (a,), grad_fn, name="gelu")
+    data, t = _gelu_forward(x)
+    return tape_op(data, (a,), lambda g: (_gelu_backward(g, x, t),), name="gelu")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -493,15 +617,17 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= vocab:
         raise IndexError(f"target outside [0, {vocab})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
+    exp_z = np.exp(z)
+    norm = exp_z.sum(axis=1, keepdims=True)
+    log_norm = np.log(norm[:, 0])
     picked = z[np.arange(n), ids]
     data = np.asarray((log_norm - picked).mean())
 
     def grad_fn(g):
-        probs = np.exp(z)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = exp_z / norm  # a fresh array: exp_z is kept unchanged
         probs[np.arange(n), ids] -= 1.0
-        return (probs * (g / n),)
+        probs *= g / n
+        return (probs,)
 
     return tape_op(data, (logits,), grad_fn, name="cross_entropy")
 

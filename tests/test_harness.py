@@ -144,6 +144,44 @@ class TestBuildModel:
         assert err < 1e-4
 
 
+def tape_ops(loss) -> int:
+    """Number of op nodes on the tape that ends in ``loss``."""
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += bool(node._parents)
+            stack.extend(node._parents)
+    return ops
+
+
+# Tape ops of one two-layer ByteLM.loss. Each layer is 9 ops (two
+# rmsnorms, three head-split projections, one head-merge projection, the
+# ffn, two residual adds) plus its attention ops: 1 for softmax attention
+# (+1 Shaw bias), 3 for linear attention (two feature maps and the core),
+# +2 rotations for rope. Around the layers: the embedding gather, the
+# position add for sinusoidal (+1) or learned (+2, its rows are a tape op
+# too), the final rmsnorm, the output projection and the loss.
+TAPE_OPS = {
+    ("softmax", "rope"): 28, ("softmax", "sinusoidal"): 25, ("softmax", "learned"): 26,
+    ("softmax", "shaw"): 26, ("softmax", "none"): 24,
+    ("linear-elu", "rope"): 32, ("linear-elu", "sinusoidal"): 29,
+    ("linear-elu", "learned"): 30, ("linear-elu", "none"): 28,
+    ("linear-softmax", "rope"): 32, ("linear-softmax", "sinusoidal"): 29,
+    ("linear-softmax", "learned"): 30, ("linear-softmax", "none"): 28,
+}
+
+
+@pytest.mark.parametrize("variant,pos_encoding", sorted(TAPE_OPS))
+def test_tape_ops_per_loss(variant, pos_encoding):
+    model = ByteLM(tiny_config(layers=2, attention_variant=variant,
+                               pos_encoding=pos_encoding), Rng(6))
+    tokens = np.arange(36).reshape(4, 9) * 7 % 256
+    loss = model.loss(tokens[:, :-1], tokens[:, 1:])
+    assert tape_ops(loss) <= TAPE_OPS[variant, pos_encoding]
+
+
 class TestTraining:
     def test_steps_zero_rejected(self, tmp_path, small_corpus):
         with pytest.raises(ConfigurationError):
@@ -193,8 +231,10 @@ class TestTraining:
     def test_divergence_aborts_keeping_metrics(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "diverge",
                             steps=30, learning_rate=1e18)
-        with pytest.raises(NumericError):
+        message = r"^step \d+: softmax_attention scores produced non-finite values$"
+        with pytest.raises(NumericError, match=message) as err:
             train_from_scratch(tiny_config(precision=32), config)
+        assert isinstance(err.value.__cause__, NumericError)
         lines = open(config.metrics_path).read().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) >= 2  # at least one completed step survived

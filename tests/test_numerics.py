@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rope_kit import numerics
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter,
@@ -14,10 +16,13 @@ from rope_kit.numerics import (
     cross_entropy,
     elu_plus_one,
     exp,
+    ffn,
     gelu,
     grad_check,
+    linear,
     matmul,
     mean,
+    permute,
     reshape,
     rmsnorm,
     softmax_rows,
@@ -271,6 +276,17 @@ class TestCrossEntropy:
                          [logits], Rng(2), samples=10)
         assert err < 1e-6
 
+    def test_backward_leaves_forward_arrays_unchanged(self):
+        # The backward divides the kept exp(z) by its kept row sums; a
+        # second sweep over the same tape must see them unchanged.
+        logits = Parameter("logits", Rng(3).normal_array((5, 9)))
+        loss = cross_entropy(logits.tensor, [0, 8, 3, 3, 1])
+        loss.backward()
+        first = logits.gradient.copy()
+        logits.zero_grad()
+        loss.backward()
+        assert np.array_equal(logits.gradient, first)
+
 
 class TestElementwise:
     def test_elu_plus_one_positive_and_continuous(self):
@@ -300,6 +316,24 @@ class TestElementwise:
         # On the negative tail 1 + tanh cancels, so float32 keeps only an
         # absolute error there: one float32 spacing at the range's edge.
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=np.spacing(np.float32(10.0)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bit_identical_to_closed_formula(self, dtype):
+        rng = Rng(33)
+        x = np.concatenate([np.linspace(-12.0, 12.0, 961), rng.normal_array(600, 3.0)])
+        x = x.astype(dtype)
+        g = rng.normal_array(x.shape).astype(dtype)
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        expected = 0.5 * x * (1.0 + t)
+        dinner = c * (1.0 + 3 * 0.044715 * x**2)
+        expected_grad = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+        p = Parameter("x", x, dtype=dtype)
+        out = gelu(p.tensor)
+        tensor_sum(out * Tensor(g)).backward()
+        assert out.dtype == p.gradient.dtype == dtype
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(p.gradient, expected_grad)
 
     def test_rmsnorm_unit_rms(self):
         rng = Rng(8)
@@ -354,6 +388,34 @@ class TestFirstWrite:
         assert a.grad.dtype == np.float32
         np.testing.assert_array_equal(a.grad, np.float32(1 / 3))
 
+    @pytest.mark.parametrize("form", ["plain", "split", "merge", "ffn"])
+    def test_fused_dense_gradients_are_stored_without_copy(self, form, monkeypatch):
+        returned = []
+        original = numerics.tape_op
+
+        def recording_tape_op(data, parents, grad_fn, name="op"):
+            def recorded(g):
+                grads = grad_fn(g)
+                if name in ("linear", "ffn"):
+                    returned.extend(grads)
+                return grads
+            return original(data, parents, recorded, name)
+
+        monkeypatch.setattr(numerics, "tape_op", recording_tape_op)
+        rng = Rng(19)
+        x = leaf(rng.normal_array((2, 2, 3, 4) if form == "merge" else (2, 3, 8)))
+        w = leaf(rng.normal_array((8, 8)))
+        if form == "ffn":
+            w2 = leaf(rng.normal_array((8, 8)))
+            out, parents = ffn(x, w, w2), [x, w, w2]
+        else:
+            options = {"split": dict(split_heads=2), "merge": dict(merge_heads=True)}
+            out, parents = linear(x, w, **options.get(form, {})), [x, w]
+        tensor_sum(out * out).backward()
+        assert len(returned) == len(parents)
+        for parent, grad in zip(parents, returned):
+            assert parent.grad is grad
+
     def test_writing_one_grad_leaves_the_others(self):
         rng = Rng(17)
         a, b, w = (leaf(rng.normal_array(shape)) for shape in ((2, 3), (2, 3), (3, 3)))
@@ -372,6 +434,108 @@ class TestFirstWrite:
                 if j != i:
                     np.testing.assert_array_equal(other.grad, before[j])
             node.grad[...] = before[i]
+
+
+def heads_chain(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """The matmul, reshape, permute chain that ``linear(split_heads=...)`` fuses."""
+    batch, seq, _ = x.data.shape
+    split = reshape(matmul(x, w), (batch, seq, heads, w.data.shape[1] // heads))
+    return permute(split, (0, 2, 1, 3))
+
+
+def merge_chain(x: Tensor, w: Tensor) -> Tensor:
+    """The permute, reshape, matmul chain that ``linear(merge_heads=True)`` fuses."""
+    batch, heads, seq, dim = x.data.shape
+    return matmul(reshape(permute(x, (0, 2, 1, 3)), (batch, seq, heads * dim)), w)
+
+
+class TestFusedDense:
+    """``linear`` and ``ffn`` against the chains of tape ops they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fused_op", ["linear", "ffn"])
+    def test_matches_composed_tape_ops_bit_for_bit(self, fused_op, dtype):
+        rng = Rng(41)
+        arrays = [rng.normal_array((23, 12)), rng.normal_array((12, 20), scale=0.5),
+                  rng.normal_array((20, 7), scale=0.5)]
+
+        def run(fused):
+            params = [Parameter(n, a, dtype=dtype) for n, a in zip(("x", "w1", "w2"), arrays)]
+            x, w1, w2 = (p.tensor for p in params)
+            if fused_op == "linear":
+                params = params[:2]
+                out = linear(x, w1) if fused else matmul(x, w1)
+            else:
+                out = ffn(x, w1, w2) if fused else matmul(gelu(matmul(x, w1)), w2)
+            tensor_sum(out * out).backward()
+            return [out.data] + [p.gradient for p in params]
+
+        for fused, composed in zip(run(True), run(False)):
+            assert fused.dtype == composed.dtype == dtype
+            assert np.array_equal(fused, composed)
+
+    @pytest.mark.parametrize("form", ["plain", "split", "merge", "flat"])
+    def test_linear_forms_match_chain_and_gradient(self, form):
+        rng = Rng(43)
+        shape = (3, 2, 7, 4) if form == "merge" else (3, 7, 8)
+        x = Parameter("x", rng.normal_array(shape))
+        w = Parameter("w", rng.normal_array((8, 6)))
+        options = {"split": dict(split_heads=2), "merge": dict(merge_heads=True),
+                   "flat": dict(flat=True)}.get(form, {})
+        if form == "split":
+            expected = heads_chain(x.tensor, w.tensor, 2)
+        elif form == "merge":
+            expected = merge_chain(x.tensor, w.tensor)
+        else:
+            expected = matmul(x.tensor, w.tensor)
+            if form == "flat":
+                expected = reshape(expected, (21, 6))
+        weights = Tensor(rng.normal_array(expected.shape))
+        out = linear(x.tensor, w.tensor, **options)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out.data, expected.data, rtol=1e-13, atol=1e-15)
+        err = grad_check(lambda: tensor_sum(linear(x.tensor, w.tensor, **options) * weights),
+                         [x, w], Rng(44), samples=30)
+        assert err < 1e-6
+
+    def test_ffn_gradient(self):
+        rng = Rng(45)
+        x = Parameter("x", rng.normal_array((3, 5, 6)))
+        w1 = Parameter("w1", rng.normal_array((6, 24)))
+        w2 = Parameter("w2", rng.normal_array((24, 6), scale=0.3))
+        weights = Tensor(rng.normal_array((3, 5, 6)))
+        out = ffn(x.tensor, w1.tensor, w2.tensor)
+        expected = matmul(gelu(matmul(x.tensor, w1.tensor)), w2.tensor)
+        np.testing.assert_allclose(out.data, expected.data, rtol=1e-13, atol=1e-15)
+        err = grad_check(lambda: tensor_sum(ffn(x.tensor, w1.tensor, w2.tensor) * weights),
+                         [x, w1, w2], Rng(46), samples=40)
+        assert err < 1e-6
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(DimensionError):
+            linear(x, Tensor(np.ones((5, 2))))
+        with pytest.raises(DimensionError):
+            linear(x, Tensor(np.ones((4, 6))), split_heads=4)
+        with pytest.raises(DimensionError):
+            linear(x, Tensor(np.ones((4, 6))), merge_heads=True)
+        with pytest.raises(DimensionError):
+            ffn(x, Tensor(np.ones((4, 8))), Tensor(np.ones((7, 4))))
+
+    def test_huge_hidden_values_warn_only_of_overflow(self):
+        # A hidden layer that overflows is the op's NumericError; a finite
+        # one whose cube overflows saturates the GELU's tanh. Neither may
+        # raise any warning other than the product's overflow.
+        w1 = Tensor(np.full((3, 4), 1e10, dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "overflow encountered in matmul")
+            with pytest.raises(NumericError, match="ffn"):
+                ffn(Tensor(np.full((2, 3), 1e30, dtype=np.float32)), w1,
+                    Tensor(np.ones((4, 3), dtype=np.float32)))
+            out = ffn(Tensor(np.full((2, 3), -1e6, dtype=np.float32)), w1,
+                      Tensor(np.full((4, 3), 1e-20, dtype=np.float32)))
+        np.testing.assert_array_equal(out.data, 0.0)
 
 
 class TestGradCheck:
