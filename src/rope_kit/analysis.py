@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .numerics import Rng
-from .rotary import ThetaSchedule, dense_rotation_matrix, make_schedule, rope_score
+from .rotary import RotaryEncoder, dense_rotation_matrix, rope_score
 
 __all__ = [
     "DecayCurve",
@@ -78,11 +78,11 @@ class DecayCurve:
 def decay_curve(dim: int, max_distance: int) -> DecayCurve:
     if max_distance < 0:
         raise ConfigurationError(f"max_distance must be >= 0, got {max_distance}")
-    schedule = make_schedule(dim)
+    thetas = RotaryEncoder(dim).thetas
     distances = np.arange(max_distance + 1)
     values = np.empty(max_distance + 1, dtype=np.float64)
     for r in distances:
-        phases = np.exp(1j * r * schedule.thetas)
+        phases = np.exp(1j * r * thetas)
         partial = np.cumsum(phases)
         values[r] = np.abs(partial).mean()
     return DecayCurve(dim=dim, distances=distances, values=values)
@@ -142,7 +142,7 @@ class AbelCheckReport:
         self.bound_violations += np.size(bound_ok) - np.count_nonzero(bound_ok)
 
 
-def abel_single(q, k, m, n, schedule: ThetaSchedule):
+def abel_single(q, k, m, n, enc: RotaryEncoder):
     """The summation-by-parts check on one draw, or on a batch of draws.
 
     The rotated score is the real part of sum_i h_i e^{i (m-n) theta_i}
@@ -158,7 +158,7 @@ def abel_single(q, k, m, n, schedule: ThetaSchedule):
     hq = qa[..., 0::2] + 1j * qa[..., 1::2]
     hk = ka[..., 0::2] + 1j * ka[..., 1::2]
     h = hq * np.conj(hk)
-    phases = np.exp(1j * np.multiply.outer(np.subtract(m, n), schedule.thetas))
+    phases = np.exp(1j * np.multiply.outer(np.subtract(m, n), enc.thetas))
 
     total = np.sum(h * phases, axis=-1)
     # S_1..S_half, the partial phase sums (S_0 = 0); h_{half+1} = 0.
@@ -171,7 +171,7 @@ def abel_single(q, k, m, n, schedule: ThetaSchedule):
     bound = np.max(np.abs(h_steps), axis=-1) * np.sum(np.abs(s), axis=-1)
     bound_ok = np.abs(total) <= bound + 1e-12
 
-    score_residual = np.abs(total.real - rope_score(qa, ka, m, n, schedule))
+    score_residual = np.abs(total.real - rope_score(qa, ka, m, n, enc))
     return residual, bound_ok, score_residual
 
 
@@ -181,13 +181,13 @@ def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128),
     drawn TRIAL_CHUNK trials at a time."""
     report = AbelCheckReport()
     for dim in dims:
-        schedule = make_schedule(dim)
+        enc = RotaryEncoder(dim)
         for size in trial_chunks(trials):
             q = rng.normal_array((size, dim))
             k = rng.normal_array((size, dim))
             m = randint_array(rng, max_pos + 1, size)
             n = randint_array(rng, max_pos + 1, size)
-            report.merge(*abel_single(q, k, m, n, schedule))
+            report.merge(*abel_single(q, k, m, n, enc))
     return report
 
 
@@ -239,11 +239,11 @@ def derivation_oracle_2d(rng: Rng, trials: int, max_m: int = 16) -> Derivation2D
                             rng.normal_array((size, 2))) for _ in range(2))
         thetas = np.array([0.1 + 1.9 * rng.uniform() for _ in range(size)])  # nonzero
 
-        schedules = [ThetaSchedule(dim=2, thetas=thetas[t:t + 1]) for t in range(size)]
-        rotated = np.stack([dense_rotation_matrix(sched, positions) @ q
-                            for sched, q in zip(schedules, q0)])  # [t, m, xy]
-        scores = np.stack([rope_score(q, k, grid[:, None], grid, sched)
-                           for sched, q, k in zip(schedules, q0, k0)])  # [t, m, n]
+        encoders = [RotaryEncoder(2, thetas[t:t + 1]) for t in range(size)]
+        rotated = np.stack([dense_rotation_matrix(enc, positions) @ q
+                            for enc, q in zip(encoders, q0)])  # [t, m, xy]
+        scores = np.stack([rope_score(q, k, grid[:, None], grid, enc)
+                           for enc, q, k in zip(encoders, q0, k0)])  # [t, m, n]
 
         z, z0 = rotated[..., 0] + 1j * rotated[..., 1], q0[:, :1] + 1j * q0[:, 1:]
         drift = _wrap_angle(np.angle(z) - np.angle(z0) - positions * thetas[:, None])

@@ -236,24 +236,27 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
     array is built. The non-causal numerator is Q (K^T V).
     """
     q, k, vals = pq_num.data, pk_num.data, v.data
-    if causal:
-        seq = q.shape[-2]
-        size = min(_CHUNK, seq)
-        chunks = -(-seq // _CHUNK)
-        q, k, vals = (_chunked(a, chunks, size) for a in (q, k, vals))
-        mask = causal_mask(size)
-        scores = (q @ _swap(k)) * mask
-        states = _swap(k) @ vals
-        prefix = np.zeros_like(states)
-        prefix[..., 1:, :, :] = np.cumsum(states[..., :-1, :, :], axis=-3)
-        num = _unchunked(scores @ vals + q @ prefix, seq)
-        z = np.cumsum(pk_den.data, axis=-2)
-        den = np.einsum("...td,...td->...t", pq_den.data, z)
-    else:
-        kv = _swap(k) @ vals
-        num = q @ kv
-        z = pk_den.data.sum(axis=-2)
-        den = np.einsum("...td,...d->...t", pq_den.data, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        if causal:
+            seq = q.shape[-2]
+            size = min(_CHUNK, seq)
+            chunks = -(-seq // _CHUNK)
+            q, k, vals = (_chunked(a, chunks, size) for a in (q, k, vals))
+            mask = causal_mask(size)
+            scores = (q @ _swap(k)) * mask
+            states = _swap(k) @ vals
+            prefix = np.zeros_like(states)
+            prefix[..., 1:, :, :] = np.cumsum(states[..., :-1, :, :], axis=-3)
+            num = _unchunked(scores @ vals + q @ prefix, seq)
+            z = np.cumsum(pk_den.data, axis=-2)
+            den = np.einsum("...td,...td->...t", pq_den.data, z)
+        else:
+            kv = _swap(k) @ vals
+            num = q @ kv
+            z = pk_den.data.sum(axis=-2)
+            den = np.einsum("...td,...d->...t", pq_den.data, z)
+    _check_finite(den, "linear_attention denominator")
+    _check_finite(num, "linear_attention numerator")
     if not (den > 0).all():
         raise NumericError("linear attention denominator is not strictly positive")
     out_data = num / den[..., None]

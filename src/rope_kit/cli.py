@@ -58,13 +58,13 @@ def _suite_numerics(rng: Rng, dims, trials: int):
 def _suite_shift_invariance(rng: Rng, dims, trials: int):
     worst = 0.0
     for dim in dims:
-        schedule = rotary.make_schedule(dim)
+        encoder = rotary.RotaryEncoder(dim)
         for size in analysis.trial_chunks(trials):
             q = rng.normal_array((size, dim))
             k = rng.normal_array((size, dim))
             m, n, s = (analysis.randint_array(rng, 513, size) for _ in range(3))
-            base = rotary.rope_score(q, k, m, n, schedule)
-            moved = rotary.rope_score(q, k, m + s, n + s, schedule)
+            base = rotary.rope_score(q, k, m, n, encoder)
+            moved = rotary.rope_score(q, k, m + s, n + s, encoder)
             worst = max(worst, float(np.abs(base - moved).max()))
     return worst < 1e-9, f"max |score(m,n) - score(m+s,n+s)| = {worst:.2e}"
 
@@ -76,24 +76,23 @@ def _suite_sparse_dense(rng: Rng, dims, trials: int):
         encoder = rotary.RotaryEncoder(dim)
         x = rng.normal_array((dim,))
         for m in positions:
-            dense = rotary.dense_rotation_matrix(encoder.schedule, m) @ x
+            dense = rotary.dense_rotation_matrix(encoder, m) @ x
             sparse = rotary.apply_rotary(encoder, x, m)
             worst = max(worst, float(np.abs(dense - sparse).max()))
     return worst < 1e-12, f"max |dense - sparse| = {worst:.2e} (positions <= 1024)"
 
 
 def _suite_complex_real(rng: Rng, dims, trials: int):
-    schedule = rotary.make_schedule(2)
-    theta = float(schedule.thetas[0])
+    encoder = rotary.RotaryEncoder(2)
+    theta = float(encoder.thetas[0])
     worst = 0.0
     for size in analysis.trial_chunks(trials):
         q = rng.normal_array((size, 2))
         k = rng.normal_array((size, 2))
         m, n = (analysis.randint_array(rng, 513, size) for _ in range(2))
-        real = rotary.rope_score(q, k, m, n, schedule)
+        real = rotary.rope_score(q, k, m, n, encoder)
         for q_t, k_t, m_t, n_t, real_t in zip(q, k, m.tolist(), n.tolist(), real.tolist()):
-            pair_q, pair_k = map(rotary.Complex2DPair.from_vector, (q_t, k_t))
-            cplx = rotary.complex_rope_score_2d(pair_q, pair_k, m_t, n_t, theta)
+            cplx = rotary.complex_rope_score_2d(q_t, k_t, m_t, n_t, theta)
             worst = max(worst, abs(real_t - cplx))
     return worst < 1e-12, f"max |complex - real| = {worst:.2e}"
 
@@ -112,7 +111,7 @@ def _suite_orthogonality(rng: Rng, dims, trials: int):
             worst_norm = max(worst_norm, float(drift.max()))
             # One trial at a time: its three (d, d) matrices take 384 KB at d = 128.
             for triple in np.stack([m, n, n - m], axis=-1):
-                r_m, r_n, direct = rotary.dense_rotation_matrix(encoder.schedule, triple)
+                r_m, r_n, direct = rotary.dense_rotation_matrix(encoder, triple)
                 worst_rel = max(worst_rel, float(np.abs(r_m.T @ r_n - direct).max()))
     ok = worst_norm < 1e-12 and worst_rel < 1e-12
     return ok, f"norm drift {worst_norm:.2e}, R_m^T R_n vs R_(n-m) {worst_rel:.2e}"
@@ -272,7 +271,7 @@ def cmd_bench(args) -> int:
     rng = Rng(args.seed)
     encoder = rotary.RotaryEncoder(args.dim)
     x = rng.normal_array((args.seq, args.dim))
-    matrices = rotary.dense_rotation_matrix(encoder.schedule, np.arange(args.seq))
+    matrices = rotary.dense_rotation_matrix(encoder, np.arange(args.seq))
 
     def dense_pass():
         return np.einsum("tij,tj->ti", matrices, x)

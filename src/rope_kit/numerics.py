@@ -530,8 +530,14 @@ def _gelu_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gelu_backward(g: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``g * gelu'(u)`` as a fresh array, from the forward's ``t``:
-    ``0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)``, factor by factor."""
-    inner = u * u
+    ``0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)``, factor by factor.
+
+    Where ``1 - t^2`` is exactly 0 the slope term is its limit 0, also
+    where a huge ``|u|`` overflows ``u^2``: that inf is clamped to the
+    largest finite value, which tanh has long saturated at."""
+    with np.errstate(over="ignore"):
+        inner = u * u
+    np.minimum(inner, np.finfo(inner.dtype).max, out=inner)
     inner *= 3 * _GELU_CUBIC
     inner += 1.0
     inner *= _GELU_C

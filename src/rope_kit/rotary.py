@@ -1,4 +1,4 @@
-"""Rotary position encoding: frequency schedule, rotation operator, scores.
+"""Rotary position encoding: frequency set, rotation operator, scores.
 
 A d-dimensional vector is treated as d/2 planar pairs; position m rotates
 pair i by the angle m * theta_i. The operator exists in two equivalent
@@ -10,18 +10,13 @@ difference, which is what the rest of the package verifies and exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .numerics import Tensor, as_array, tape_op
 
 __all__ = [
-    "ThetaSchedule",
-    "make_schedule",
     "RotaryEncoder",
-    "Complex2DPair",
     "rotate_pairs",
     "apply_rotary",
     "apply_rotary_rows",
@@ -31,28 +26,6 @@ __all__ = [
 ]
 
 BASE = 10000.0
-
-
-@dataclass(frozen=True)
-class ThetaSchedule:
-    """Geometric frequency ladder theta_i = 10000^(-2(i-1)/d), i = 1..d/2."""
-
-    dim: int
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ConfigurationError(f"rotary dim must be even and >= 2, got {self.dim}")
-        if self.thetas.shape != (self.dim // 2,):
-            raise ConfigurationError(
-                f"schedule needs {self.dim // 2} frequencies, got {self.thetas.shape}"
-            )
-
-
-def make_schedule(dim: int) -> ThetaSchedule:
-    pair = np.arange(dim // 2, dtype=np.float64)
-    thetas = BASE ** (-2.0 * pair / dim)
-    return ThetaSchedule(dim=dim, thetas=thetas)
 
 
 def rotate_pairs(x: np.ndarray) -> np.ndarray:
@@ -75,34 +48,42 @@ def _integer_positions(positions) -> np.ndarray:
     return positions
 
 
-def _pair_cos_sin(schedule: ThetaSchedule, positions) -> tuple[np.ndarray, np.ndarray]:
+def _pair_cos_sin(enc: RotaryEncoder, positions) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of positions * theta_i, each repeated for both members of its pair."""
-    angles = np.multiply.outer(positions, schedule.thetas)
+    angles = np.multiply.outer(positions, enc.thetas)
     return np.repeat(np.cos(angles), 2, axis=-1), np.repeat(np.sin(angles), 2, axis=-1)
 
 
 class RotaryEncoder:
-    """The rotation at integer positions as elementwise cos/sin products.
+    """The rotation R_{Theta,m} of a ``dim``-vector at integer positions m.
 
-    The rotation at position m is the closed form m * theta_i, so explicit
-    positions get their cos/sin computed directly and no table has to
-    cover them. ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps
-    the pair of the most recent ``seq``, so a training loop at a fixed
-    context builds it once.
+    ``thetas`` is the frequency set Theta, one per coordinate pair; by
+    default the geometric ladder theta_i = 10000^(-2(i-1)/d), i = 1..d/2.
+    It is stored as a read-only float64 array. The rotation at position m
+    is the closed form m * theta_i, so explicit positions get their
+    cos/sin computed directly and no table has to cover them.
+    ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps the pair of
+    the most recent ``seq``, so a training loop at a fixed context builds
+    it once.
     """
 
-    def __init__(self, dim: int):
-        self.schedule = make_schedule(dim)
+    def __init__(self, dim: int, thetas=None):
+        if dim < 2 or dim % 2 != 0:
+            raise ConfigurationError(f"rotary dim must be even and >= 2, got {dim}")
+        if thetas is None:
+            thetas = BASE ** (-2.0 * np.arange(dim // 2, dtype=np.float64) / dim)
+        thetas = np.array(thetas, dtype=np.float64)
+        if thetas.shape != (dim // 2,):
+            raise ConfigurationError(f"dim {dim} needs {dim // 2} thetas, got {thetas.shape}")
+        thetas.setflags(write=False)
+        self.dim = dim
+        self.thetas = thetas
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.schedule.dim
 
     def rows(self, seq: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (seq, dim) cos/sin rows for positions 0..seq-1."""
         if self._rows is None or len(self._rows[0]) != seq:
-            cos, sin = _pair_cos_sin(self.schedule, np.arange(seq))
+            cos, sin = _pair_cos_sin(self, np.arange(seq))
             cos.setflags(write=False)
             sin.setflags(write=False)
             self._rows = cos, sin
@@ -129,7 +110,7 @@ def apply_rotary(enc: RotaryEncoder, x, positions):
         raise DimensionError(f"positions shape {positions.shape} != rows {rows}")
     if (positions < 0).any():
         raise ConfigurationError(f"positions must be non-negative, got {positions.min()}")
-    cos, sin = _pair_cos_sin(enc.schedule, positions)
+    cos, sin = _pair_cos_sin(enc, positions)
     return _apply_cos_sin(x, cos, sin, enc.dim)
 
 
@@ -160,15 +141,15 @@ def _apply_cos_sin(x, cos, sin, dim: int):
     return _rotate(arr, cos, sin)
 
 
-def dense_rotation_matrix(schedule: ThetaSchedule, m) -> np.ndarray:
+def dense_rotation_matrix(enc: RotaryEncoder, m) -> np.ndarray:
     """The explicit block-diagonal rotation matrix at position m.
 
     Negative m is allowed and equals the transpose of the matrix at -m.
     An integer array m gives the stack of shape (*m.shape, d, d), each
     slice bit-identical to the call at that position.
     """
-    d = schedule.dim
-    angles = np.multiply.outer(_integer_positions(m), schedule.thetas)
+    d = enc.dim
+    angles = np.multiply.outer(_integer_positions(m), enc.thetas)
     mat = np.zeros(angles.shape[:-1] + (d, d), dtype=np.float64)
     cos, sin = np.cos(angles), np.sin(angles)
     idx = np.arange(d // 2)
@@ -179,7 +160,7 @@ def dense_rotation_matrix(schedule: ThetaSchedule, m) -> np.ndarray:
     return mat
 
 
-def rope_score(q, k, m, n, schedule: ThetaSchedule):
+def rope_score(q, k, m, n, enc: RotaryEncoder):
     """Inner product of q rotated to position m and k rotated to position n.
 
     Equals q^T R_{n-m} k, so it depends on the positions only through
@@ -187,41 +168,22 @@ def rope_score(q, k, m, n, schedule: ThetaSchedule):
     arrays broadcast against (...); a float when the result is a scalar.
     """
     qa, ka = as_array(q), as_array(k)
-    if qa.shape[-1:] != (schedule.dim,) or ka.shape[-1:] != (schedule.dim,):
-        raise DimensionError(
-            f"expected vectors of length {schedule.dim}, got {qa.shape} and {ka.shape}"
-        )
-    cos_m, sin_m = _pair_cos_sin(schedule, _integer_positions(m))
-    cos_n, sin_n = _pair_cos_sin(schedule, _integer_positions(n))
+    if qa.shape[-1:] != (enc.dim,) or ka.shape[-1:] != (enc.dim,):
+        raise DimensionError(f"expected {enc.dim}-vectors, got shapes {qa.shape} and {ka.shape}")
+    cos_m, sin_m = _pair_cos_sin(enc, _integer_positions(m))
+    cos_n, sin_n = _pair_cos_sin(enc, _integer_positions(n))
     score = (_rotate(qa, cos_m, sin_m) * _rotate(ka, cos_n, sin_n)).sum(axis=-1)
     return float(score) if score.ndim == 0 else score
 
 
-@dataclass(frozen=True)
-class Complex2DPair:
-    """A 2-d real vector (x1, x2) viewed as the complex number x1 + i x2."""
+def complex_rope_score_2d(q, k, m: int, n: int, theta: float) -> float:
+    """Re[q * conj(k) * e^{i (m-n) theta}]: the 2-d score in complex form,
+    each 2-vector (x1, x2) read as the complex number x1 + i x2.
 
-    re: float
-    im: float
-
-    @classmethod
-    def from_vector(cls, v) -> "Complex2DPair":
-        arr = as_array(v)
-        if arr.shape != (2,):
-            raise DimensionError(f"expected a 2-vector, got shape {arr.shape}")
-        return cls(float(arr[0]), float(arr[1]))
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.re, self.im], dtype=np.float64)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def complex_rope_score_2d(q: Complex2DPair, k: Complex2DPair, m: int, n: int, theta: float) -> float:
-    """Re[q * conj(k) * e^{i (m-n) theta}]: the 2-d score in complex form.
-
-    Agrees with :func:`rope_score` on the real view of the same pair.
+    Agrees with :func:`rope_score` on the same vectors.
     """
+    qa, ka = as_array(q), as_array(k)
+    if qa.shape != (2,) or ka.shape != (2,):
+        raise DimensionError(f"expected 2-vectors, got shapes {qa.shape} and {ka.shape}")
     phase = complex(np.cos((m - n) * theta), np.sin((m - n) * theta))
-    return (q.to_complex() * k.to_complex().conjugate() * phase).real
+    return (complex(qa[0], qa[1]) * complex(ka[0], ka[1]).conjugate() * phase).real

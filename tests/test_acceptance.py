@@ -29,12 +29,10 @@ from rope_kit.harness import (
 )
 from rope_kit.numerics import Rng, Tensor, grad_check
 from rope_kit.rotary import (
-    Complex2DPair,
     RotaryEncoder,
     apply_rotary,
     complex_rope_score_2d,
     dense_rotation_matrix,
-    make_schedule,
     rope_score,
 )
 
@@ -50,13 +48,13 @@ def test_criterion_01_shift_invariance():
     rng = Rng(SEED)
     worst = 0.0
     for dim in (2, 4, 64, 128):
-        schedule = make_schedule(dim)
+        encoder = RotaryEncoder(dim)
         for _ in range(1000):
             q = rng.normal_array((dim,))
             k = rng.normal_array((dim,))
             m, n, s = rng.randint(513), rng.randint(513), rng.randint(513)
-            gap = abs(rope_score(q, k, m, n, schedule)
-                      - rope_score(q, k, m + s, n + s, schedule))
+            gap = abs(rope_score(q, k, m, n, encoder)
+                      - rope_score(q, k, m + s, n + s, encoder))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
@@ -70,11 +68,10 @@ def test_criterion_02_sparse_dense_equivalence():
     worst = 0.0
     positions = sorted({0, 1, 2, 3, 5, 8, 13, 512, 1024} | {rng.randint(1025) for _ in range(40)})
     for dim in (2, 4, 8, 16, 32, 64, 128, 256):
-        schedule = make_schedule(dim)
         encoder = RotaryEncoder(dim)
         for m in positions:
             x = rng.normal_array((dim,))
-            dense = dense_rotation_matrix(schedule, m) @ x
+            dense = dense_rotation_matrix(encoder, m) @ x
             sparse = apply_rotary(encoder, x, m)
             worst = max(worst, float(np.abs(dense - sparse).max()))
     elapsed = time.perf_counter() - start
@@ -85,16 +82,14 @@ def test_criterion_02_sparse_dense_equivalence():
 
 def test_criterion_03_complex_real_equivalence():
     rng = Rng(SEED + 2)
-    schedule = make_schedule(2)
-    theta = float(schedule.thetas[0])
+    encoder = RotaryEncoder(2)
+    theta = float(encoder.thetas[0])
     worst = 0.0
     for _ in range(1000):
         q, k = rng.normal_array((2,)), rng.normal_array((2,))
         m, n = rng.randint(513), rng.randint(513)
-        real = rope_score(q, k, m, n, schedule)
-        cplx = complex_rope_score_2d(
-            Complex2DPair.from_vector(q), Complex2DPair.from_vector(k), m, n, theta
-        )
+        real = rope_score(q, k, m, n, encoder)
+        cplx = complex_rope_score_2d(q, k, m, n, theta)
         worst = max(worst, abs(real - cplx))
     assert worst < 1e-12
     report(3, f"1000 2-d draws, max |complex - real| {worst:.2e}")
@@ -105,7 +100,6 @@ def test_criterion_04_orthogonality_and_norm():
     worst_norm = 0.0
     worst_rel = 0.0
     for dim in (2, 4, 64, 128):
-        schedule = make_schedule(dim)
         encoder = RotaryEncoder(dim)
         for _ in range(100):
             x = rng.normal_array((dim,))
@@ -113,10 +107,10 @@ def test_criterion_04_orthogonality_and_norm():
             n = m + rng.randint(513)
             rotated = apply_rotary(encoder, x, m)
             worst_norm = max(worst_norm, abs(float(np.linalg.norm(rotated) - np.linalg.norm(x))))
-            composed = dense_rotation_matrix(schedule, m).T @ dense_rotation_matrix(schedule, n)
+            composed = dense_rotation_matrix(encoder, m).T @ dense_rotation_matrix(encoder, n)
             worst_rel = max(
                 worst_rel,
-                float(np.abs(composed - dense_rotation_matrix(schedule, n - m)).max()),
+                float(np.abs(composed - dense_rotation_matrix(encoder, n - m)).max()),
             )
     assert worst_norm < 1e-12
     assert worst_rel < 1e-12

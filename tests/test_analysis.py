@@ -18,7 +18,7 @@ from rope_kit.analysis import (
 )
 from rope_kit.errors import ConfigurationError, DataError
 from rope_kit.numerics import Rng
-from rope_kit.rotary import make_schedule
+from rope_kit.rotary import RotaryEncoder
 
 
 def decay_value_reference(dim: int, r: int) -> float:
@@ -91,7 +91,7 @@ class TestDecayCurve:
 class TestAbelIdentity:
     def test_zero_vectors(self):
         residual, bound_ok, score_residual = abel_single(
-            np.zeros(8), np.zeros(8), 5, 2, make_schedule(8)
+            np.zeros(8), np.zeros(8), 5, 2, RotaryEncoder(8)
         )
         assert residual == 0.0
         assert bound_ok
@@ -100,10 +100,10 @@ class TestAbelIdentity:
     def test_single_pair_reduces_to_triviality(self):
         # d = 2: both summation orders are the single term h0 * S1
         rng = Rng(30)
-        schedule = make_schedule(2)
+        enc = RotaryEncoder(2)
         for _ in range(50):
             q, k = rng.normal_array((2,)), rng.normal_array((2,))
-            residual, bound_ok, score_residual = abel_single(q, k, 9, 4, schedule)
+            residual, bound_ok, score_residual = abel_single(q, k, 9, 4, enc)
             assert residual < 1e-14
             assert bound_ok
             assert score_residual < 1e-12
@@ -111,25 +111,25 @@ class TestAbelIdentity:
     def test_pairwise_complex_sum_equals_score(self):
         rng = Rng(31)
         for dim in (4, 64, 128):
-            schedule = make_schedule(dim)
+            enc = RotaryEncoder(dim)
             for _ in range(50):
                 q, k = rng.normal_array((dim,)), rng.normal_array((dim,))
                 _, _, score_residual = abel_single(
-                    q, k, rng.randint(513), rng.randint(513), schedule
+                    q, k, rng.randint(513), rng.randint(513), enc
                 )
                 assert score_residual < 1e-10
 
     def test_batch_matches_per_row_calls(self):
         rng = Rng(35)
         for dim in (2, 4, 64, 128):
-            schedule = make_schedule(dim)
+            enc = RotaryEncoder(dim)
             q, k = rng.normal_array((9, dim)), rng.normal_array((9, dim))
             m = np.array([rng.randint(513) for _ in range(9)])
             n = np.array([rng.randint(513) for _ in range(9)])
-            residual, bound_ok, score_residual = abel_single(q, k, m, n, schedule)
+            residual, bound_ok, score_residual = abel_single(q, k, m, n, enc)
             assert residual.shape == bound_ok.shape == score_residual.shape == (9,)
             for t in range(9):
-                row = abel_single(q[t], k[t], m[t], n[t], schedule)
+                row = abel_single(q[t], k[t], m[t], n[t], enc)
                 assert abs(residual[t] - row[0]) < 1e-12
                 assert bound_ok[t] == row[1]
                 assert abs(score_residual[t] - row[2]) < 1e-12
@@ -167,29 +167,29 @@ class TestAbelIdentity:
 
 class TestDerivation2D:
     def test_angle_zero_at_origin(self):
-        from rope_kit.rotary import ThetaSchedule, dense_rotation_matrix
+        from rope_kit.rotary import dense_rotation_matrix
 
-        schedule = ThetaSchedule(dim=2, thetas=np.array([1.0]))
-        np.testing.assert_array_equal(dense_rotation_matrix(schedule, 0), np.eye(2))
+        enc = RotaryEncoder(2, [1.0])
+        np.testing.assert_array_equal(dense_rotation_matrix(enc, 0), np.eye(2))
 
     def test_angle_accumulates_arithmetically(self):
-        from rope_kit.rotary import ThetaSchedule, dense_rotation_matrix
+        from rope_kit.rotary import dense_rotation_matrix
 
-        schedule = ThetaSchedule(dim=2, thetas=np.array([0.5]))
-        vec = dense_rotation_matrix(schedule, 4) @ np.array([1.0, 0.0])
+        enc = RotaryEncoder(2, [0.5])
+        vec = dense_rotation_matrix(enc, 4) @ np.array([1.0, 0.0])
         angle = math.atan2(vec[1], vec[0])
         assert abs(angle - 2.0) < 1e-12
 
     def test_norm_independent_of_position(self):
         rng = Rng(33)
-        from rope_kit.rotary import ThetaSchedule, dense_rotation_matrix
+        from rope_kit.rotary import dense_rotation_matrix
 
         w = rng.normal_array((2, 2))
         x = rng.normal_array((2,))
         base = np.linalg.norm(w @ x)
-        schedule = ThetaSchedule(dim=2, thetas=np.array([0.77]))
+        enc = RotaryEncoder(2, [0.77])
         for m in (1, 3, 7):
-            assert abs(np.linalg.norm(dense_rotation_matrix(schedule, m) @ w @ x) - base) < 1e-12
+            assert abs(np.linalg.norm(dense_rotation_matrix(enc, m) @ w @ x) - base) < 1e-12
 
     @pytest.mark.parametrize("target", ["rope_score", "dense_rotation_matrix"])
     def test_oracle_checks_the_library_kernels(self, monkeypatch, target):
@@ -198,12 +198,11 @@ class TestDerivation2D:
         original = getattr(rotary, target)
 
         # Each fault grows with position, as a wrong rotation would.
-        def skewed_score(q, k, m, n, schedule):
-            return original(q, k, m, n, schedule) + 1e-6 * np.asarray(m)
+        def skewed_score(q, k, m, n, enc):
+            return original(q, k, m, n, enc) + 1e-6 * np.asarray(m)
 
-        def skewed_matrix(schedule, m):
-            fast = rotary.ThetaSchedule(dim=schedule.dim, thetas=schedule.thetas + 1e-6)
-            return original(fast, m)
+        def skewed_matrix(enc, m):
+            return original(rotary.RotaryEncoder(enc.dim, enc.thetas + 1e-6), m)
 
         replacement = skewed_score if target == "rope_score" else skewed_matrix
         monkeypatch.setattr(analysis, target, replacement)

@@ -25,7 +25,7 @@ from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter, Rng, Tensor, grad_check, matmul, softmax_rows, tensor_sum, transpose,
 )
-from rope_kit.rotary import RotaryEncoder, apply_rotary, dense_rotation_matrix, make_schedule
+from rope_kit.rotary import RotaryEncoder, apply_rotary, dense_rotation_matrix
 
 
 def elu1(x):
@@ -423,9 +423,9 @@ class TestRopeLinearAttention:
     def test_sign_stats_match_dense_rotation(self, causal):
         rng = Rng(29)
         q, k = rng.normal_array((12, 8)), rng.normal_array((12, 8))
-        stats = rope_weight_sign_stats(q, k, RotaryEncoder(8), "elu", causal=causal)
-        schedule = make_schedule(8)
-        rotations = [dense_rotation_matrix(schedule, t) for t in range(12)]
+        enc = RotaryEncoder(8)
+        stats = rope_weight_sign_stats(q, k, enc, "elu", causal=causal)
+        rotations = [dense_rotation_matrix(enc, t) for t in range(12)]
         pq = np.stack([r @ elu1(row) for r, row in zip(rotations, q)])
         pk = np.stack([r @ elu1(row) for r, row in zip(rotations, k)])
         weights = pq @ pk.T
@@ -486,7 +486,7 @@ class TestChunkwiseCausal:
         plain = linear_attention_parts(q, k, v, feature_map, causal=True)
         assert np.array_equal(roped.denominator, plain.denominator)
         pq, pk = direct_feature_maps(feature_map, q.data, k.data)
-        rot = dense_rotation_matrix(make_schedule(8), np.arange(seq))
+        rot = dense_rotation_matrix(enc, np.arange(seq))
         pq_rot = np.einsum("tij,tj->ti", rot, pq)
         pk_rot = np.einsum("tij,tj->ti", rot, pk)
         direct = masked_direct(pq_rot, pk_rot, pq, pk, v.data)

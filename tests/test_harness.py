@@ -228,12 +228,16 @@ class TestTraining:
         assert metrics[-1][1] < 0.5
 
     @pytest.mark.filterwarnings("ignore:overflow")  # the overflow IS the scenario
-    def test_divergence_aborts_keeping_metrics(self, tmp_path, small_corpus):
+    @pytest.mark.parametrize("variant, op", [
+        ("softmax", "softmax_attention scores"),
+        ("linear-elu", "linear_attention (numerator|denominator)"),
+    ], ids=["softmax", "linear-elu"])
+    def test_divergence_aborts_keeping_metrics(self, tmp_path, small_corpus, variant, op):
         config = run_config(tmp_path, small_corpus, "diverge",
                             steps=30, learning_rate=1e18)
-        message = r"^step \d+: softmax_attention scores produced non-finite values$"
+        message = rf"^step \d+: {op} produced non-finite values$"
         with pytest.raises(NumericError, match=message) as err:
-            train_from_scratch(tiny_config(precision=32), config)
+            train_from_scratch(tiny_config(precision=32, attention_variant=variant), config)
         assert isinstance(err.value.__cause__, NumericError)
         lines = open(config.metrics_path).read().splitlines()
         assert lines[0] == "step,loss"

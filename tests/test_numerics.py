@@ -335,6 +335,21 @@ class TestElementwise:
         assert np.array_equal(out.data, expected)
         assert np.array_equal(p.gradient, expected_grad)
 
+    @pytest.mark.parametrize("op", ["gelu", "ffn"])
+    def test_gelu_gradient_where_u_squared_overflows(self, op):
+        # In float32, u^2 overflows at |u| = 1e20 where 1 - tanh^2 is
+        # exactly 0; the slope term takes its limit 0 there, without a warning.
+        u = Parameter("u", np.array([[1e20, -1e20]]), dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if op == "gelu":
+                out = gelu(u.tensor)
+            else:  # ffn of x = [[1]] has the hidden pre-activation u
+                out = ffn(Tensor(np.ones((1, 1), np.float32)), u.tensor,
+                          Tensor(np.ones((2, 1), np.float32)))
+            tensor_sum(out).backward()
+        assert np.array_equal(u.gradient, [[1.0, 0.0]])
+
     def test_rmsnorm_unit_rms(self):
         rng = Rng(8)
         x = rng.normal_array((6, 16), scale=3.0)

@@ -1,4 +1,4 @@
-"""Rotation operator: schedule, row memo, dense/sparse forms, scores."""
+"""Rotation operator: frequency set, row memo, dense/sparse forms, scores."""
 
 import math
 import tracemalloc
@@ -9,13 +9,11 @@ import pytest
 from rope_kit.errors import ConfigurationError, DimensionError
 from rope_kit.numerics import Parameter, Rng, Tensor, grad_check, tensor_sum
 from rope_kit.rotary import (
-    Complex2DPair,
     RotaryEncoder,
     apply_rotary,
     apply_rotary_rows,
     complex_rope_score_2d,
     dense_rotation_matrix,
-    make_schedule,
     rope_score,
     rotate_pairs,
 )
@@ -24,39 +22,61 @@ COS1, SIN1 = math.cos(1.0), math.sin(1.0)
 
 
 class TestSchedule:
+    """The frequency set Theta that ``RotaryEncoder`` builds and holds."""
+
     def test_dim_2(self):
-        np.testing.assert_array_equal(make_schedule(2).thetas, [1.0])
+        np.testing.assert_array_equal(RotaryEncoder(2).thetas, [1.0])
 
     def test_dim_4(self):
-        np.testing.assert_allclose(make_schedule(4).thetas, [1.0, 0.01], rtol=1e-15)
+        np.testing.assert_allclose(RotaryEncoder(4).thetas, [1.0, 0.01], rtol=1e-15)
 
     def test_dim_8_powers_of_ten(self):
         np.testing.assert_allclose(
-            make_schedule(8).thetas, [1.0, 0.1, 0.01, 0.001], rtol=1e-15
+            RotaryEncoder(8).thetas, [1.0, 0.1, 0.01, 0.001], rtol=1e-15
         )
 
     def test_first_frequency_exactly_one(self):
         for dim in (2, 4, 64, 128):
-            assert make_schedule(dim).thetas[0] == 1.0
+            assert RotaryEncoder(dim).thetas[0] == 1.0
 
     def test_strictly_decreasing(self):
-        thetas = make_schedule(128).thetas
+        thetas = RotaryEncoder(128).thetas
         assert (np.diff(thetas) < 0).all()
+
+    @pytest.mark.parametrize("dim", [2, 8, 64, 128])
+    def test_default_ladder_bitwise(self, dim):
+        thetas = RotaryEncoder(dim).thetas
+        expected = 10000.0 ** (-2.0 * np.arange(dim // 2, dtype=np.float64) / dim)
+        assert thetas.dtype == np.float64
+        assert thetas.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dim", [0, -2, 1, 3, 7])
     def test_bad_dims_rejected(self, dim):
         with pytest.raises(ConfigurationError):
-            make_schedule(dim)
+            RotaryEncoder(dim)
+
+    @pytest.mark.parametrize("thetas", [[], [1.0], [1.0, 0.1, 0.01], [[1.0, 0.1]]])
+    def test_wrong_length_thetas_rejected(self, thetas):
+        with pytest.raises(ConfigurationError):
+            RotaryEncoder(4, thetas)
+
+    def test_given_thetas_are_copied_read_only(self):
+        given = np.array([0.5, 0.25])
+        enc = RotaryEncoder(4, given)
+        given[0] = 9.0
+        np.testing.assert_array_equal(enc.thetas, [0.5, 0.25])
+        for thetas in (enc.thetas, RotaryEncoder(4).thetas):
+            with pytest.raises(ValueError):
+                thetas[0] = 2.0
 
 
 class TestEncoderTables:
     def test_pairwise_duplication(self):
         enc = RotaryEncoder(8)
         cos, sin = enc.rows(21)
-        schedule = make_schedule(8)
         for m in (0, 1, 7, 20):
             for i in range(4):
-                expected = math.cos(m * schedule.thetas[i])
+                expected = math.cos(m * enc.thetas[i])
                 assert cos[m, 2 * i] == cos[m, 2 * i + 1] == pytest.approx(expected, abs=0)
                 assert sin[m, 2 * i] == sin[m, 2 * i + 1]
 
@@ -194,14 +214,14 @@ class TestApplyRotary:
 
 class TestDenseMatrix:
     def test_position_zero_identity(self):
-        np.testing.assert_array_equal(dense_rotation_matrix(make_schedule(6), 0), np.eye(6))
+        np.testing.assert_array_equal(dense_rotation_matrix(RotaryEncoder(6), 0), np.eye(6))
 
     def test_2d_rotation_block(self):
-        mat = dense_rotation_matrix(make_schedule(2), 1)
+        mat = dense_rotation_matrix(RotaryEncoder(2), 1)
         np.testing.assert_allclose(mat, [[COS1, -SIN1], [SIN1, COS1]], atol=1e-15)
 
     def test_4d_blocks_use_scheduled_angles(self):
-        mat = dense_rotation_matrix(make_schedule(4), 2)
+        mat = dense_rotation_matrix(RotaryEncoder(4), 2)
         np.testing.assert_allclose(mat[:2, :2],
                                    [[math.cos(2.0), -math.sin(2.0)],
                                     [math.sin(2.0), math.cos(2.0)]], atol=1e-15)
@@ -211,52 +231,51 @@ class TestDenseMatrix:
         assert np.abs(mat[:2, 2:]).max() == 0.0
 
     def test_orthogonality(self):
-        schedule = make_schedule(64)
+        enc = RotaryEncoder(64)
         for m in (1, 17, 400):
-            mat = dense_rotation_matrix(schedule, m)
+            mat = dense_rotation_matrix(enc, m)
             np.testing.assert_allclose(mat.T @ mat, np.eye(64), atol=1e-12)
 
     def test_relative_composition(self):
         rng = Rng(7)
         for dim in (2, 4, 64):
-            schedule = make_schedule(dim)
+            enc = RotaryEncoder(dim)
             for _ in range(20):
                 m = rng.randint(513)
                 n = m + rng.randint(513)
-                composed = dense_rotation_matrix(schedule, m).T @ dense_rotation_matrix(schedule, n)
+                composed = dense_rotation_matrix(enc, m).T @ dense_rotation_matrix(enc, n)
                 np.testing.assert_allclose(
-                    composed, dense_rotation_matrix(schedule, n - m), atol=1e-12
+                    composed, dense_rotation_matrix(enc, n - m), atol=1e-12
                 )
 
     def test_non_integer_position_rejected(self):
         with pytest.raises(ConfigurationError):
-            dense_rotation_matrix(make_schedule(4), 1.5)
+            dense_rotation_matrix(RotaryEncoder(4), 1.5)
         with pytest.raises(ConfigurationError):
-            dense_rotation_matrix(make_schedule(4), np.array([0.0, 2.0]))
+            dense_rotation_matrix(RotaryEncoder(4), np.array([0.0, 2.0]))
 
     def test_negative_offset_is_transpose(self):
-        schedule = make_schedule(8)
+        enc = RotaryEncoder(8)
         np.testing.assert_array_equal(
-            dense_rotation_matrix(schedule, -5), dense_rotation_matrix(schedule, 5).T
+            dense_rotation_matrix(enc, -5), dense_rotation_matrix(enc, 5).T
         )
 
     @pytest.mark.parametrize("dim", [2, 8, 128])
     def test_position_array_stacks_scalar_calls(self, dim):
-        schedule = make_schedule(dim)
+        enc = RotaryEncoder(dim)
         positions = np.array([[0, 1, -3], [57, 511, 1024]])
-        stack = dense_rotation_matrix(schedule, positions)
+        stack = dense_rotation_matrix(enc, positions)
         assert stack.shape == (2, 3, dim, dim)
-        expected = np.stack([dense_rotation_matrix(schedule, m) for m in positions.ravel()])
+        expected = np.stack([dense_rotation_matrix(enc, m) for m in positions.ravel()])
         np.testing.assert_array_equal(stack.reshape(6, dim, dim), expected)
 
     def test_sparse_dense_equivalence(self):
         rng = Rng(8)
         for dim in (2, 4, 16, 64, 128, 256):
-            schedule = make_schedule(dim)
             enc = RotaryEncoder(dim)
             x = rng.normal_array((dim,))
             for m in (0, 1, 3, 57, 511, 1024):
-                dense = dense_rotation_matrix(schedule, m) @ x
+                dense = dense_rotation_matrix(enc, m) @ x
                 sparse = apply_rotary(enc, x, m)
                 assert np.abs(dense - sparse).max() < 1e-12
 
@@ -264,58 +283,58 @@ class TestDenseMatrix:
 class TestScores:
     def test_equal_positions_plain_inner_product(self):
         rng = Rng(9)
-        schedule = make_schedule(8)
+        enc = RotaryEncoder(8)
         for _ in range(20):
             q, k = rng.normal_array((8,)), rng.normal_array((8,))
             m = rng.randint(100)
-            assert abs(rope_score(q, k, m, m, schedule) - float(q @ k)) < 1e-12
+            assert abs(rope_score(q, k, m, m, enc) - float(q @ k)) < 1e-12
 
     def test_2d_known_value(self):
-        score = rope_score([1.0, 0.0], [1.0, 0.0], 5, 3, make_schedule(2))
+        score = rope_score([1.0, 0.0], [1.0, 0.0], 5, 3, RotaryEncoder(2))
         assert abs(score - math.cos(2.0)) < 1e-15
 
     def test_shift_invariance(self):
         rng = Rng(10)
         for dim in (2, 4, 64, 128):
-            schedule = make_schedule(dim)
+            enc = RotaryEncoder(dim)
             for _ in range(100):
                 q, k = rng.normal_array((dim,)), rng.normal_array((dim,))
                 m, n, s = rng.randint(513), rng.randint(513), rng.randint(513)
                 assert abs(
-                    rope_score(q, k, m, n, schedule) - rope_score(q, k, m + s, n + s, schedule)
+                    rope_score(q, k, m, n, enc) - rope_score(q, k, m + s, n + s, enc)
                 ) < 1e-9
 
     def test_matches_relative_matrix_form(self):
         rng = Rng(11)
-        schedule = make_schedule(16)
+        enc = RotaryEncoder(16)
         for _ in range(20):
             q, k = rng.normal_array((16,)), rng.normal_array((16,))
             m, n = rng.randint(64), rng.randint(64)
-            direct = rope_score(q, k, m, n, schedule)
-            relative = float(q @ dense_rotation_matrix(schedule, n - m) @ k)
+            direct = rope_score(q, k, m, n, enc)
+            relative = float(q @ dense_rotation_matrix(enc, n - m) @ k)
             assert abs(direct - relative) < 1e-12
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
-            rope_score(np.ones(4), np.ones(4), 0, 0, make_schedule(8))
+            rope_score(np.ones(4), np.ones(4), 0, 0, RotaryEncoder(8))
         with pytest.raises(DimensionError):
-            rope_score(np.ones((3, 4)), np.ones((3, 8)), 0, 0, make_schedule(8))
+            rope_score(np.ones((3, 4)), np.ones((3, 8)), 0, 0, RotaryEncoder(8))
 
     def test_non_integer_positions_rejected(self):
         q = np.ones(4)
         with pytest.raises(ConfigurationError):
-            rope_score(q, q, 0.5, 0, make_schedule(4))
+            rope_score(q, q, 0.5, 0, RotaryEncoder(4))
         with pytest.raises(ConfigurationError):
-            rope_score(q, q, 0, np.array([1.0, 2.0]), make_schedule(4))
+            rope_score(q, q, 0, np.array([1.0, 2.0]), RotaryEncoder(4))
 
     def test_scalar_call_returns_float(self):
-        score = rope_score(np.ones(4), np.ones(4), np.int64(3), 1, make_schedule(4))
+        score = rope_score(np.ones(4), np.ones(4), np.int64(3), 1, RotaryEncoder(4))
         assert type(score) is float
 
     @pytest.mark.parametrize("dim", [2, 4, 64, 128])
     def test_batch_matches_per_row_calls(self, dim):
         rng = Rng(13)
-        schedule = make_schedule(dim)
+        enc = RotaryEncoder(dim)
         q, k = rng.normal_array((7, dim)), rng.normal_array((7, dim))
         m = np.array([rng.randint(1025) for _ in range(7)])
         n = np.array([rng.randint(1025) for _ in range(7)])
@@ -325,46 +344,47 @@ class TestScores:
             (0, n, lambda t: (0, n[t])),         # scalar m broadcasts
         ]
         for m_arg, n_arg, pair in cases:
-            batch = rope_score(q, k, m_arg, n_arg, schedule)
+            batch = rope_score(q, k, m_arg, n_arg, enc)
             assert batch.shape == (7,)
             for t in range(7):
-                assert abs(batch[t] - rope_score(q[t], k[t], *pair(t), schedule)) < 1e-12
+                assert abs(batch[t] - rope_score(q[t], k[t], *pair(t), enc)) < 1e-12
 
     def test_positions_broadcast_against_one_vector_pair(self):
         rng = Rng(14)
-        schedule = make_schedule(16)
+        enc = RotaryEncoder(16)
         q, k = rng.normal_array((16,)), rng.normal_array((16,))
         grid = np.arange(0, 9, 2)
-        scores = rope_score(q, k, grid[:, None], grid, schedule)
+        scores = rope_score(q, k, grid[:, None], grid, enc)
         assert scores.shape == (5, 5)
         for i, m in enumerate(grid):
             for j, n in enumerate(grid):
-                assert abs(scores[i, j] - rope_score(q, k, int(m), int(n), schedule)) < 1e-12
+                assert abs(scores[i, j] - rope_score(q, k, int(m), int(n), enc)) < 1e-12
 
 
 class TestComplexForm:
-    def test_roundtrip_exact(self):
-        pair = Complex2DPair.from_vector([0.1, -2.5])
-        np.testing.assert_array_equal(pair.to_vector(), [0.1, -2.5])
-        assert pair.to_complex() == complex(0.1, -2.5)
-
     def test_unit_same_position(self):
-        one = Complex2DPair(1.0, 0.0)
-        assert complex_rope_score_2d(one, one, 3, 3, 1.0) == 1.0
+        assert complex_rope_score_2d([1.0, 0.0], [1.0, 0.0], 3, 3, 1.0) == 1.0
 
     def test_unit_offset_one(self):
-        one = Complex2DPair(1.0, 0.0)
-        assert abs(complex_rope_score_2d(one, one, 4, 3, 1.0) - COS1) < 1e-15
+        assert abs(complex_rope_score_2d([1.0, 0.0], [1.0, 0.0], 4, 3, 1.0) - COS1) < 1e-15
+
+    def test_reads_pairs_as_complex_numbers(self):
+        # Re[(1 + 2i) conj(3 - i)] = Re[1 + 7i] = 1 at equal positions.
+        assert complex_rope_score_2d(np.array([1.0, 2.0]), (3.0, -1.0), 5, 5, 0.3) == 1.0
+
+    def test_non_2d_vectors_rejected(self):
+        with pytest.raises(DimensionError):
+            complex_rope_score_2d(np.ones(4), np.ones(2), 0, 0, 1.0)
+        with pytest.raises(DimensionError):
+            complex_rope_score_2d(np.ones(2), np.ones((1, 2)), 0, 0, 1.0)
 
     def test_matches_real_implementation(self):
         rng = Rng(12)
-        schedule = make_schedule(2)
-        theta = float(schedule.thetas[0])
+        enc = RotaryEncoder(2)
+        theta = float(enc.thetas[0])
         for _ in range(1000):
             q, k = rng.normal_array((2,)), rng.normal_array((2,))
             m, n = rng.randint(513), rng.randint(513)
-            real = rope_score(q, k, m, n, schedule)
-            cplx = complex_rope_score_2d(
-                Complex2DPair.from_vector(q), Complex2DPair.from_vector(k), m, n, theta
-            )
+            real = rope_score(q, k, m, n, enc)
+            cplx = complex_rope_score_2d(q, k, m, n, theta)
             assert abs(real - cplx) < 1e-12

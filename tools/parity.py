@@ -15,7 +15,8 @@ JSON file holding a sha256 of each artifact:
   config in ``RUNS``;
 - the stdout, metrics and checkpoint of a default-settings
   ``train --steps 2`` run;
-- the ``bench`` agreement line.
+- the ``bench`` agreement line;
+- the stdout and CSV of a default-settings ``decay`` run.
 
 The same file holds the per-step losses of a 50-step float64 run of
 each config in ``RUNS``. Every run trains on one corpus generated here
@@ -138,6 +139,8 @@ def probe(tree: Path) -> dict:
         bench = [line for line in p.run("bench", "--reps", "1").splitlines()
                  if line.startswith((b"outputs agree", b"FAIL"))]
         digests["bench.agreement"] = sha256(b"\n".join(bench))
+        digests["decay-defaults.stdout"] = sha256(p.run("decay"))
+        digests["decay-defaults.csv"] = file_digest(p.work / "decay.csv")
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "nproc": os.cpu_count(), "machine": platform.machine()}
     return {"tree": str(tree), "env": env, "digests": digests, "losses": losses}
