@@ -5,6 +5,11 @@ leading axes (batch, heads) broadcast through untouched. Rotary encoding
 rotates q and k before the score product and never touches v; additive
 encodings are injected upstream of the projections.
 
+Softmax attention scores its queries in blocks of 64 rows; a causal
+block reads only the keys up to its last row, so the masked half of the
+(seq, seq) scores is never computed and, without a score bias, no
+(seq, seq) array is built in the forward or the backward.
+
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
 the generic :func:`similarity_attention` double loop serves as the
@@ -54,10 +59,31 @@ VARIANTS = ("softmax", "linear-elu", "linear-softmax")
 POS_ENCODINGS = ("rope", "sinusoidal", "learned", "shaw", "none")
 
 
+# Rows per query block of softmax attention, and positions per chunk of
+# the causal linear numerator (see softmax_attention and _linear_core).
+_CHUNK = 64
+
+
 @dataclass
 class AttentionOutput:
+    """``output`` is on the tape; ``blocks`` are the probability row blocks.
+
+    ``weights`` is the full (..., seq, seq) probability matrix P as a
+    read-only array, exactly 0 above the diagonal when causal. It is
+    assembled from ``blocks`` on first read; the model never reads it.
+    """
+
     output: Tensor
-    weights: np.ndarray | None = None
+    blocks: list[np.ndarray]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        first, seq = self.blocks[0], self.blocks[-1].shape[-1]
+        weights = np.zeros(first.shape[:-2] + (seq, seq), first.dtype)
+        for r0, p in zip(range(0, seq, _CHUNK), self.blocks):
+            weights[..., r0:r0 + p.shape[-2], :p.shape[-1]] = p
+        weights.setflags(write=False)
+        return weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -94,53 +120,84 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     Causal masking excludes keys after the query position. Rotary
     encoding is applied to q and k by the caller.
 
-    The scores, the softmax and its normalisation are computed in place
-    in one (..., seq, seq) buffer, which becomes the probabilities P;
-    non-finite scores raise ``NumericError``. The backward keeps only P,
-    as in the FlashAttention backward (Dao et al. 2022) without tiling:
+    The queries are taken in blocks of 64 rows, as in FlashAttention (Dao
+    et al. 2022) but without its online softmax: block [r0, r1) scores
+    keys [0, r1) when causal and every key otherwise, so the masked half
+    is never computed. Each block's scores, softmax and normalisation
+    are computed in place and become its probabilities P; only the
+    diagonal block is masked. Non-finite scores raise ``NumericError``;
+    future positions of a causal call are never scored, so only the
+    scores that enter the softmax are checked.
+    The backward keeps only the P blocks and runs, per block,
     dP = G V^T, dV = P^T G, dS = P * (dP - rowsum(dP * P)) / sqrt(d),
-    dQ = dS K, dK = (Q^T dS)^T, and dS is also the bias gradient.
-    ``weights`` is P as a read-only array, off the tape.
+    dQ = dS K, dK = (Q^T dS)^T, summing dK and dV into their key
+    prefixes; dS is also the bias gradient, the one (..., seq, seq)
+    array, built only when there is a bias. With seq <= 64 there is one
+    block and the op is the unblocked computation, bit for bit.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     seq = _check_qkv(q, k, v)
     parents = (q, k, v)
+    scores_shape = q.data.shape[:-1] + (seq,)
+    bias = None
+    if score_bias is not None:
+        score_bias = _as_tensor(score_bias)
+        parents += (score_bias,)
+        try:
+            bias = np.broadcast_to(score_bias.data, scores_shape)
+        except ValueError:
+            raise DimensionError(
+                f"score_bias shape {score_bias.data.shape} does not broadcast to "
+                f"scores shape {scores_shape}"
+            ) from None
     scale = 1.0 / math.sqrt(q.data.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
-        probs = q.data @ _swap(k.data)
-        if score_bias is not None:
-            score_bias = _as_tensor(score_bias)
-            parents += (score_bias,)
-            try:
-                probs += score_bias.data
-            except ValueError:
-                raise DimensionError(
-                    f"score_bias shape {score_bias.data.shape} does not broadcast to "
-                    f"scores shape {probs.shape}"
-                ) from None
-        probs *= scale
-    _check_finite(probs, "softmax_attention scores")
-    if causal:
-        np.copyto(probs, -np.inf, where=~causal_mask(seq))
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    probs.setflags(write=False)
+    out = np.empty(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
+    blocks = []
+    for r0 in range(0, seq, _CHUNK):
+        r1 = min(r0 + _CHUNK, seq)
+        keys = r1 if causal else seq
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+            probs = q.data[..., r0:r1, :] @ _swap(k.data[..., :keys, :])
+            if bias is not None:
+                probs += bias[..., r0:r1, :keys]
+            probs *= scale
+        _check_finite(probs, "softmax_attention scores")
+        if causal:
+            np.copyto(probs[..., r0:], -np.inf, where=~causal_mask(_CHUNK)[:r1 - r0, :r1 - r0])
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs.setflags(write=False)
+        np.matmul(probs, v.data[..., :keys, :], out=out[..., r0:r1, :])
+        blocks.append(probs)
 
     def grad_fn(g):
-        d_scores = g @ _swap(v.data)
-        d_v = _swap(probs) @ g
-        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
-        d_scores *= probs
-        d_scores *= scale
-        d_q = d_scores @ k.data
-        d_k = _swap(_swap(q.data) @ d_scores)
-        if score_bias is None:
+        d_q = np.empty(q.data.shape, np.result_type(g, v.data, k.data))
+        d_bias = None if score_bias is None else np.zeros(scores_shape, np.result_type(g, v.data))
+        d_k = d_v = None  # made by the last block, which reads every key
+        for r0, probs in reversed(list(zip(range(0, seq, _CHUNK), blocks))):
+            r1, keys = r0 + probs.shape[-2], probs.shape[-1]
+            g_rows = g[..., r0:r1, :]
+            d_scores = g_rows @ _swap(v.data[..., :keys, :])
+            d_v_keys = _swap(probs) @ g_rows
+            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores *= probs
+            d_scores *= scale
+            np.matmul(d_scores, k.data[..., :keys, :], out=d_q[..., r0:r1, :])
+            d_k_keys = _swap(_swap(q.data[..., r0:r1, :]) @ d_scores)
+            if d_k is None:
+                d_k, d_v = d_k_keys, d_v_keys
+            else:
+                d_k[..., :keys, :] += d_k_keys
+                d_v[..., :keys, :] += d_v_keys
+            if d_bias is not None:
+                d_bias[..., r0:r1, :keys] = d_scores
+        if d_bias is None:
             return d_q, d_k, d_v
-        return d_q, d_k, d_v, _unbroadcast(d_scores, score_bias.data.shape)
+        return d_q, d_k, d_v, _unbroadcast(d_bias, score_bias.data.shape)
 
-    out = tape_op(probs @ v.data, parents, grad_fn, name="softmax_attention")
-    return AttentionOutput(output=out, weights=probs)
+    out = tape_op(out, parents, grad_fn, name="softmax_attention")
+    return AttentionOutput(output=out, blocks=blocks)
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
@@ -188,10 +245,6 @@ def feature_map_pair(name: str):
     if name == "softmax-exp":
         return softmax_rows, exp
     raise ConfigurationError(f"unknown feature map {name!r} (use 'elu' or 'softmax-exp')")
-
-
-# Positions per chunk of the causal linear numerator (see _linear_core).
-_CHUNK = 64
 
 
 @dataclass

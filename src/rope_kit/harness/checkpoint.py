@@ -26,6 +26,7 @@ failed save leaves the previous checkpoint as it was.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -80,8 +81,13 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     if bits not in (32, 64):
         raise DataError(f"unknown precision flag {bits} for tensor {name!r}")
     dtype = "<f8" if bits == 64 else "<f4"
-    count = int(np.prod(shape)) if shape else 1
-    payload = _read_exact(fh, count * (bits // 8))
+    size = math.prod(shape) * (bits // 8)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:  # checked first: a corrupt shape must not size an allocation
+        raise DataError(
+            f"tensor {name!r} of shape {shape} needs {size} bytes, the file has {left} left"
+        )
+    payload = _read_exact(fh, size)
     arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return name, arr.astype(np.float64 if bits == 64 else np.float32)
 

@@ -8,6 +8,7 @@ for the reader.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ __all__ = ["RunComparison", "read_metrics", "compare_runs", "format_table"]
 
 
 def read_metrics(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a metrics CSV into (steps, losses); steps must strictly increase."""
+    """Parse a metrics CSV into (steps, losses); steps must strictly increase
+    and every loss must be finite."""
     if not os.path.exists(path):
         raise DataError(f"metrics file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -35,6 +37,8 @@ def read_metrics(path) -> tuple[np.ndarray, np.ndarray]:
             try:
                 step, loss = line.strip().split(",")
                 step, loss = int(step), float(loss)
+                if not math.isfinite(loss):  # training never writes one
+                    raise ValueError
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: malformed metrics row {line.strip()!r}"

@@ -41,6 +41,23 @@ def rand_qkv(rng, seq, dim):
     return (Tensor(rng.normal_array((seq, dim))) for _ in range(3))
 
 
+# Block boundaries of softmax attention's query rows and of the causal
+# linear numerator's chunks: one position, one short of a block, exactly
+# one block, one past it, and a ragged third block.
+CHUNK_SEQS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+def composed_attention(q, k, v, causal, bias=None):
+    """The chain of tape ops that softmax_attention fuses."""
+    seq, dim = q.data.shape[-2:]
+    scores = matmul(q, transpose(k))
+    if bias is not None:
+        scores = scores + bias
+    scores = scores * (1.0 / np.sqrt(dim))
+    weights = softmax_rows(scores, mask=causal_mask(seq) if causal else None)
+    return matmul(weights, v)
+
+
 class TestSoftmaxAttention:
     def test_single_token_returns_value(self):
         rng = Rng(1)
@@ -157,12 +174,7 @@ class TestSoftmaxAttention:
             if fused:
                 out = softmax_attention(q, k, v, causal=causal, score_bias=bias).output
             else:
-                scores = matmul(q, transpose(k))
-                if bias is not None:
-                    scores = scores + bias
-                scores = scores * (1.0 / np.sqrt(8))
-                weights = softmax_rows(scores, mask=causal_mask(19) if causal else None)
-                out = matmul(weights, v)
+                out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
 
@@ -188,8 +200,8 @@ class TestSoftmaxAttention:
 
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_memory_peak_at_long_context(self, with_bias):
-        # The backward keeps only the probabilities: forward and backward
-        # together hold about three (seq, seq) arrays, 2 MB each here.
+        # A (seq, seq) array is 2 MB here. The tape keeps only the causal
+        # P blocks (56% of one), and only the bias gradient is a full one.
         rng = Rng(92)
         params = [Parameter(n, rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
                   for n in "qkv"]
@@ -204,7 +216,94 @@ class TestSoftmaxAttention:
         finally:
             tracemalloc.stop()
         assert params[0].gradient.shape == (1, 2, 512, 32)
-        assert peak < 9 * 2**20
+        assert peak < (5.5 if with_bias else 4) * 2**20
+
+
+class TestQueryBlocks:
+    """softmax_attention scores its queries in blocks of _CHUNK rows."""
+
+    @pytest.mark.parametrize("seq", CHUNK_SEQS)
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    def test_matches_composed_tape_ops(self, with_bias, causal, seq):
+        # One block is the unblocked op, bit for bit; more blocks only
+        # regroup sums. The (seq, seq) bias broadcasts over two heads.
+        rng = Rng(100 + seq)
+        arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
+        if with_bias:
+            arrays.append(rng.normal_array((seq, seq)))
+
+        def run(fused):
+            params = [Parameter(n, a) for n, a in zip(("q", "k", "v", "bias"), arrays)]
+            q, k, v = (p.tensor for p in params[:3])
+            bias = params[3].tensor if with_bias else None
+            if fused:
+                out = softmax_attention(q, k, v, causal=causal, score_bias=bias).output
+            else:
+                out = composed_attention(q, k, v, causal, bias)
+            tensor_sum(out * out).backward()
+            return [out.data] + [p.gradient for p in params]
+
+        for fused, composed in zip(run(True), run(False)):
+            if seq <= _CHUNK:
+                assert np.array_equal(fused, composed)
+            else:
+                assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
+    def test_gradient_across_blocks(self, target, causal):
+        seq = 2 * _CHUNK + 3
+        rng = Rng(110)
+        params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
+        params["bias"] = Parameter("bias", rng.normal_array((seq, seq)))
+
+        def f():
+            q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
+            out = softmax_attention(q, k, v, causal=causal, score_bias=bias)
+            return tensor_sum(out.output * out.output)
+
+        assert grad_check(f, [params[target]], Rng(111), samples=24) < 1e-6
+
+    def test_weights_across_blocks(self):
+        seq = 2 * _CHUNK + 3
+        rng = Rng(112)
+        q, k, v = (Tensor(rng.normal_array((2, seq, 8))) for _ in range(3))
+        out = softmax_attention(q, k, v, causal=True)
+        weights = out.weights
+        assert type(weights) is np.ndarray and weights.shape == (2, seq, seq)
+        assert not weights.flags.writeable
+        assert out.weights is weights
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(weights[:, ~causal_mask(seq)] == 0.0)
+        scores = q.data @ k.data.swapaxes(-1, -2) / np.sqrt(8)
+        expected = softmax_rows(Tensor(scores), mask=causal_mask(seq)).data
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-15)
+
+    def test_overflow_in_a_later_block_raises(self):
+        # Only query row _CHUNK + 5, in the second block, overflows its scores.
+        seq = 2 * _CHUNK + 3
+        q = np.ones((seq, 4))
+        q[_CHUNK + 5] = 1e200
+        k = np.full((seq, 4), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="softmax_attention"):
+                softmax_attention(Tensor(q), Tensor(k), Tensor(np.ones((seq, 4))), causal=True)
+
+    def test_masked_scores_are_never_computed(self):
+        # q_0 . k_100 overflows, but key 100 comes after query 0: a causal
+        # call never scores it, while a full one does and raises.
+        seq = 2 * _CHUNK + 3
+        q, k = np.ones((seq, 4)), np.ones((seq, 4))
+        q[0] = k[100] = 1e200
+        v = Rng(113).normal_array((seq, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softmax_attention(Tensor(q), Tensor(k), Tensor(v), causal=True).output.data
+            with pytest.raises(NumericError, match="softmax_attention"):
+                softmax_attention(Tensor(q), Tensor(k), Tensor(v))
+        np.testing.assert_array_equal(out[100:], np.repeat(v[100:101], seq - 100, axis=0))
 
 
 def test_causal_mask_is_one_read_only_memo():
@@ -444,11 +543,6 @@ class TestRopeLinearAttention:
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(26), samples=12) < 1e-6
-
-
-# Chunk boundaries of the causal linear numerator: one position, one
-# short of a chunk, exactly one chunk, one past it, and a ragged third chunk.
-CHUNK_SEQS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
 
 
 def direct_feature_maps(feature_map, q, k):

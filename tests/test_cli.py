@@ -223,7 +223,7 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "lowest AUC" in out
 
-    @pytest.mark.parametrize("row", ["2,abc", "1,2.0,3"])
+    @pytest.mark.parametrize("row", ["2,abc", "1,2.0,3", "2,nan", "2,inf", "2,-inf"])
     def test_malformed_row_is_a_data_error(self, tmp_path, row, capsys):
         good = tmp_path / "good.csv"
         bad = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 
 import importlib
 
@@ -297,8 +298,9 @@ class TestCheckpoint:
         ("config", b"d_model=16", b"d_model=abc"),
         ("config", b"d_model", b"d_\xffmodel"),
         ("name", b"wte", b"\xffte"),
+        ("dim", struct.pack("<Q", 256), struct.pack("<Q", 2**31)),
     ], ids=["line-without-equals", "unknown-key", "non-integer-value",
-            "config-not-utf8", "name-not-utf8"])
+            "config-not-utf8", "name-not-utf8", "first-dim-2**31"])
     def test_corrupt_contents_rejected(self, tmp_path, part, old, new):
         model = ByteLM(tiny_config(), Rng(1))
         good = tmp_path / "good.ckpt"
@@ -309,17 +311,27 @@ class TestCheckpoint:
         text_end = head + 4 + text_len
         name_at = text_end + 4  # past the tensor count, at the first tensor's name length
         (name_len,) = struct.unpack_from("<H", blob, name_at)
-        parts = {"config": blob[head + 4:text_end], "name": blob[name_at + 2:name_at + 2 + name_len]}
+        name_end = name_at + 2 + name_len
+        dim_at = name_end + 1  # past the first tensor's ndim, at its first dim
+        parts = {"config": blob[head + 4:text_end], "name": blob[name_at + 2:name_end],
+                 "dim": blob[dim_at:dim_at + 8]}
         assert old in parts[part]
         parts[part] = parts[part].replace(old, new, 1)
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(
             blob[:head] + struct.pack("<I", len(parts["config"])) + parts["config"]
             + blob[text_end:name_at] + struct.pack("<H", len(parts["name"])) + parts["name"]
-            + blob[name_at + 2 + name_len:]
+            + blob[name_end:dim_at] + parts["dim"] + blob[dim_at + 8:]
         )
-        with pytest.raises(DataError, match=re.escape(str(path))):
-            load_checkpoint(path)
+        # A corrupt shape must be refused before it sizes an allocation.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=re.escape(str(path))):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_adam_moments_restored(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "moments", steps=3)

@@ -52,12 +52,17 @@ CTX64 = ("--d-model", "32", "--heads", "2", "--layers", "2", "--context", "64",
          "--batch-size", "8")
 CTX512 = ("--d-model", "64", "--heads", "2", "--layers", "2", "--context", "512",
           "--batch-size", "1")
+# 200 positions: softmax attention's last 64-row query block holds 8 rows.
+CTX200 = ("--d-model", "32", "--heads", "2", "--layers", "2", "--context", "200",
+          "--batch-size", "2")
 RUNS = {
     **{f"ctx64.{enc}-softmax": CTX64 + ("--variant", enc, "--attention", "softmax")
        for enc in ("rope", "sinusoidal", "learned", "shaw", "none")},
     "ctx64.rope-linear-elu": CTX64 + ("--variant", "rope", "--attention", "linear-elu"),
     "ctx64.none-linear-softmax": CTX64 + ("--variant", "none", "--attention", "linear-softmax"),
     **{f"ctx512.{enc}-softmax": CTX512 + ("--variant", enc, "--attention", "softmax")
+       for enc in ("rope", "shaw")},
+    **{f"ctx200.{enc}-softmax": CTX200 + ("--variant", enc, "--attention", "softmax")
        for enc in ("rope", "shaw")},
 }
 DIGEST_STEPS = 15
