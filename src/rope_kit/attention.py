@@ -7,8 +7,8 @@ encodings are injected upstream of the projections.
 
 Softmax attention scores its queries in blocks of 64 rows; a causal
 block reads only the keys up to its last row, so the masked half of the
-(seq, seq) scores is never computed and, without a score bias, no
-(seq, seq) array is built in the forward or the backward.
+(seq, seq) scores is never computed, and no (seq, seq) array is built in
+the forward or the backward, a clipped relative bias included.
 
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
@@ -33,7 +33,7 @@ import numpy as np
 from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
-    Tensor, _as_tensor, _check_finite, _unbroadcast, as_array, elu_plus_one, exp, softmax_rows,
+    Tensor, _as_tensor, _check_finite, as_array, elu_plus_one, exp, softmax_rows,
     tape_op,
 )
 from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
@@ -110,46 +110,91 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _band_mix(lo: int, r_min: int, r_max: int, dtype) -> np.ndarray:
+    """(W, R) map whose column j, offset lo + j, picks bucket clip(lo + j)
+    less the far bucket R - 1: bucket_scores @ mix.T is the band's bias less
+    its row's far-bucket score, and dS_band @ mix the gradient of that."""
+    offsets = np.arange(lo, r_max)
+    mix = np.zeros((offsets.size, r_max - r_min + 1), dtype)
+    mix[np.arange(offsets.size), np.clip(offsets, r_min, r_max) - r_min] = 1
+    mix[:, -1] -= 1
+    return mix
+
+
+@functools.lru_cache(maxsize=32)
+def _band(slices: int, rows: int, keys: int, r0: int, lo: int,
+          r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the band lo <= m - n < r_max of query rows [r0, r0 + rows)
+    in each of ``slices`` leading (batch, head) slices: ``put`` in the
+    C-contiguous (..., rows, keys) score block, ``take`` in the
+    (..., rows, r_max - lo) band grid, for the cells whose key is in [0, keys)."""
+    key = np.arange(r0, r0 + rows)[:, None] - np.arange(lo, r_max)
+    inside = (key >= 0) & (key < keys)
+    slice_ = np.arange(slices)[:, None]
+    put = (slice_ * (rows * keys) + (np.arange(rows)[:, None] * keys + key)[inside]).ravel()
+    take = (slice_ * inside.size + np.flatnonzero(inside)).ravel()
+    put.setflags(write=False)
+    take.setflags(write=False)
+    return put, take
+
+
+def _right_of_band(r0: int, r1: int, keys: int, r_min: int) -> np.ndarray:
+    """(r1 - r0, keys) bool, True where key n of query m has m - n < r_min."""
+    return np.arange(keys) > np.arange(r0, r1)[:, None] - r_min
+
+
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                      score_bias: Tensor | None = None) -> AttentionOutput:
+                      relative: tuple[Tensor, int] | None = None) -> AttentionOutput:
     """Scaled dot-product attention with row-normalized weights, one tape op.
 
-    ``score_bias`` (broadcastable to (..., seq, seq)) is added to the raw
-    q.k scores before 1/sqrt(d) scaling, d being q's last axis; it
-    carries the clipped-relative key term when that baseline is active.
-    Causal masking excludes keys after the query position. Rotary
-    encoding is applied to q and k by the caller.
+    ``relative = (bucket_scores, r_min)``, bucket_scores of shape
+    (..., seq, R), adds a clipped relative bias to the raw q.k scores
+    before 1/sqrt(d) scaling, d being q's last axis: score (m, n) gains
+    bucket_scores[..., m, clip(m - n, r_min, r_max) - r_min], with
+    r_max = r_min + R - 1. Shaw et al. (2018)'s key term is the case
+    bucket_scores = q E^T (:func:`shaw_score_bias`). Causal masking
+    excludes keys after the query position. Rotary encoding is applied to
+    q and k by the caller.
 
     The queries are taken in blocks of 64 rows, as in FlashAttention (Dao
     et al. 2022) but without its online softmax: block [r0, r1) scores
     keys [0, r1) when causal and every key otherwise, so the masked half
     is never computed. Each block's scores, softmax and normalisation
     are computed in place and become its probabilities P; only the
-    diagonal block is masked. Non-finite scores raise ``NumericError``;
-    future positions of a causal call are never scored, so only the
-    scores that enter the softmax are checked.
+    diagonal block is masked. Non-finite scores or bucket scores raise
+    ``NumericError``; future positions of a causal call are never scored,
+    so only the scores that enter the softmax are checked.
+
+    Keys at m - n >= r_max all take row m's far bucket, a per-row constant
+    that the softmax cancels, so the op adds the bias less that constant:
+    only the band lo <= m - n < r_max (lo = 0 when causal, else r_min),
+    at flat positions memoised per block, and, when not causal, row m's
+    bucket-0-less-far score at m - n < r_min through a per-block mask.
     The backward keeps only the P blocks and runs, per block,
     dP = G V^T, dV = P^T G, dS = P * (dP - rowsum(dP * P)) / sqrt(d),
     dQ = dS K, dK = (Q^T dS)^T, summing dK and dV into their key
-    prefixes; dS is also the bias gradient, the one (..., seq, seq)
-    array, built only when there is a bias. With seq <= 64 there is one
-    block and the op is the unblocked computation, bit for bit.
+    prefixes; the same positions of dS give the bucket gradient, the far
+    bucket taking minus the rest of its row, the exact derivative of the
+    function computed. No (seq, seq) array is built. With seq <= 64
+    there is one block and the op is the unblocked computation, bit for
+    bit.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     seq = _check_qkv(q, k, v)
     parents = (q, k, v)
-    scores_shape = q.data.shape[:-1] + (seq,)
-    bias = None
-    if score_bias is not None:
-        score_bias = _as_tensor(score_bias)
-        parents += (score_bias,)
-        try:
-            bias = np.broadcast_to(score_bias.data, scores_shape)
-        except ValueError:
+    if relative is not None:
+        bucket_scores, r_min = _as_tensor(relative[0]), relative[1]
+        rel = bucket_scores.data
+        if rel.shape[:-1] != q.data.shape[:-1] or rel.shape[-1] < 1:
             raise DimensionError(
-                f"score_bias shape {score_bias.data.shape} does not broadcast to "
-                f"scores shape {scores_shape}"
-            ) from None
+                f"bucket scores shape {rel.shape} is not {q.data.shape[:-1]} + (buckets,)"
+            )
+        _check_finite(rel, "softmax_attention bucket scores")
+        parents += (bucket_scores,)
+        r_max = r_min + rel.shape[-1] - 1
+        lo = 0 if causal else r_min
+        mix = _band_mix(lo, r_min, r_max, rel.dtype)
+        slices = math.prod(rel.shape[:-2])
     scale = 1.0 / math.sqrt(q.data.shape[-1])
     out = np.empty(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
     blocks = []
@@ -158,8 +203,12 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
         keys = r1 if causal else seq
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
             probs = q.data[..., r0:r1, :] @ _swap(k.data[..., :keys, :])
-            if bias is not None:
-                probs += bias[..., r0:r1, :keys]
+            if relative is not None:
+                put, take = _band(slices, r1 - r0, keys, r0, lo, r_max)
+                probs.reshape(-1, copy=False)[put] += (rel[..., r0:r1, :] @ mix.T).reshape(-1)[take]
+                if not causal:
+                    np.add(probs, rel[..., r0:r1, :1] - rel[..., r0:r1, -1:], out=probs,
+                           where=_right_of_band(r0, r1, keys, r_min))
             probs *= scale
         _check_finite(probs, "softmax_attention scores")
         if causal:
@@ -173,7 +222,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
 
     def grad_fn(g):
         d_q = np.empty(q.data.shape, np.result_type(g, v.data, k.data))
-        d_bias = None if score_bias is None else np.zeros(scores_shape, np.result_type(g, v.data))
+        d_rel = None if relative is None else np.empty(rel.shape, np.result_type(g, v.data))
         d_k = d_v = None  # made by the last block, which reads every key
         for r0, probs in reversed(list(zip(range(0, seq, _CHUNK), blocks))):
             r1, keys = r0 + probs.shape[-2], probs.shape[-1]
@@ -190,47 +239,36 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             else:
                 d_k[..., :keys, :] += d_k_keys
                 d_v[..., :keys, :] += d_v_keys
-            if d_bias is not None:
-                d_bias[..., r0:r1, :keys] = d_scores
-        if d_bias is None:
-            return d_q, d_k, d_v
-        return d_q, d_k, d_v, _unbroadcast(d_bias, score_bias.data.shape)
+            if d_rel is not None:
+                put, take = _band(slices, r1 - r0, keys, r0, lo, r_max)
+                band = np.zeros(d_scores.shape[:-1] + mix.shape[:1], d_scores.dtype)
+                band.reshape(-1, copy=False)[take] = d_scores.reshape(-1)[put]
+                np.matmul(band, mix.astype(band.dtype, copy=False), out=d_rel[..., r0:r1, :])
+                if not causal:
+                    near = d_scores.sum(axis=-1, where=_right_of_band(r0, r1, keys, r_min))
+                    d_rel[..., r0:r1, 0] += near
+                    d_rel[..., r0:r1, -1] -= near
+        return (d_q, d_k, d_v) if d_rel is None else (d_q, d_k, d_v, d_rel)
 
     out = tape_op(out, parents, grad_fn, name="softmax_attention")
     return AttentionOutput(output=out, blocks=blocks)
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
-    """(..., seq, seq) bias with entry (m, n) = q_m . e[clip(m - n)].
-
-    The R = r_max - r_min + 1 bucket scores q_m . e_r are one product of
-    q with the embedding table; each pair then picks its bucket's score.
-    The backward sums the incoming gradient over each row's bucket runs
-    (contiguous, see :class:`ShawLayout`) into a (..., seq, R) gradient
-    and pushes that through the same product. Cost is O(seq * R * d) for
-    the products plus one O(seq^2) gather and one O(seq^2) reduction; no
-    (seq, seq, d) array is built.
+    """(..., seq, R) bucket scores q_m . e_r for :func:`softmax_attention`'s
+    ``relative``: Shaw et al. (2018)'s key term, one product of q with the
+    R key embeddings; gq = g E and gE = g^T q. No (seq, seq) array is built.
     """
     q = _as_tensor(q)
-    seq, dim = q.data.shape[-2], q.data.shape[-1]
+    dim = q.data.shape[-1]
     if dim != shaw.dim:
         raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.dim}")
     emb = shaw.key_embeddings.tensor
-    layout = shaw.layout(seq)
-    buckets = shaw.buckets
-    scores = (q.data @ emb.data.T).reshape(-1, seq * buckets)
-    data = np.take(scores, layout.gather, axis=1).reshape(q.data.shape[:-1] + (seq,))
 
     def grad_fn(g):
-        g_runs = np.add.reduceat(g.reshape(-1, seq * seq), layout.run_starts, axis=1)
-        g_scores = np.zeros_like(scores)
-        g_scores[:, layout.run_buckets] = g_runs
-        g_scores = g_scores.reshape(-1, seq, buckets)
-        gq = (g_scores @ emb.data).reshape(q.data.shape)
-        gemb = g_scores.reshape(-1, buckets).T @ q.data.reshape(-1, dim)
-        return gq, gemb
+        return g @ emb.data, g.reshape(-1, g.shape[-1]).T @ q.data.reshape(-1, dim)
 
-    return tape_op(data, (q, emb), grad_fn, name="shaw_score_bias")
+    return tape_op(q.data @ emb.data.T, (q, emb), grad_fn, name="shaw_score_bias")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ call regardless of variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LengthError
@@ -19,7 +17,6 @@ __all__ = [
     "sinusoidal_encoding",
     "SinusoidalTable",
     "LearnedAbsolute",
-    "ShawLayout",
     "ShawRelative",
     "shaw_clip",
     "additive_inject",
@@ -90,32 +87,12 @@ def shaw_clip(m: int, n: int, r_min: int, r_max: int) -> int:
     return max(r_min, min(r_max, m - n))
 
 
-@dataclass(frozen=True)
-class ShawLayout:
-    """Where each (query, key) pair of one sequence length finds its bucket.
-
-    Positions are flat: pair (m, n) is ``m * seq + n`` and row m's bucket r
-    is ``m * buckets + r``. ``gather`` is the (seq, seq) bucket position of
-    every pair. Along a row the bucket index never increases, so each
-    bucket present in row m covers one contiguous run of keys: run i starts
-    at pair ``run_starts[i]`` and belongs to bucket position
-    ``run_buckets[i]``. The runs tile the pairs in order.
-    """
-
-    seq: int
-    gather: np.ndarray
-    run_starts: np.ndarray
-    run_buckets: np.ndarray
-
-
 class ShawRelative:
     """Trainable key-space embeddings indexed by clipped relative distance.
 
     Only the key path is kept: the score between positions m and n gains
     the term q_m . e[clip(m - n)] before scaling. The value-path term is
-    deliberately dropped (see the attention layer). The bucket layout of
-    the most recent sequence length is cached, so a training loop at a
-    fixed context builds it once.
+    deliberately dropped (see the attention layer).
     """
 
     def __init__(self, r_min: int, r_max: int, dim: int, rng: Rng,
@@ -130,11 +107,6 @@ class ShawRelative:
             rng.normal_array((r_max - r_min + 1, dim), scale=scale),
             dtype=dtype,
         )
-        self._layout: ShawLayout | None = None
-
-    @property
-    def buckets(self) -> int:
-        return self.r_max - self.r_min + 1
 
     def clip(self, m: int, n: int) -> int:
         return shaw_clip(m, n, self.r_min, self.r_max)
@@ -144,22 +116,6 @@ class ShawRelative:
         m = np.arange(seq)[:, None]
         n = np.arange(seq)[None, :]
         return np.clip(m - n, self.r_min, self.r_max) - self.r_min
-
-    def layout(self, seq: int) -> ShawLayout:
-        """Bucket layout for ``seq`` positions, rebuilt only when seq changes."""
-        layout = self._layout
-        if layout is not None and layout.seq == seq:
-            return layout
-        index = self.index_matrix(seq)
-        gather = np.arange(seq)[:, None] * self.buckets + index
-        run_begins = np.ones((seq, seq), dtype=bool)
-        run_begins[:, 1:] = index[:, 1:] != index[:, :-1]
-        run_starts = np.flatnonzero(run_begins)
-        layout = ShawLayout(seq, gather, run_starts, gather.reshape(-1)[run_starts])
-        for arr in (layout.gather, layout.run_starts, layout.run_buckets):
-            arr.setflags(write=False)
-        self._layout = layout
-        return layout
 
 
 def additive_inject(x: Tensor, encoding) -> Tensor:

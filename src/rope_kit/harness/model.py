@@ -189,8 +189,10 @@ class ByteLM:
             if self.rotary is not None:
                 q = apply_rotary_rows(self.rotary, q)
                 k = apply_rotary_rows(self.rotary, k)
-            bias = shaw_score_bias(q, self.shaw) if self.shaw is not None else None
-            return softmax_attention(q, k, v, causal=True, score_bias=bias).output
+            relative = None
+            if self.shaw is not None:
+                relative = (shaw_score_bias(q, self.shaw), self.shaw.r_min)
+            return softmax_attention(q, k, v, causal=True, relative=relative).output
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:
             return rope_linear_attention(q, k, v, self.rotary, feature_map, causal=True)

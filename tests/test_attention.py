@@ -23,7 +23,8 @@ from rope_kit.attention import _CHUNK, _linear_core
 from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
-    Parameter, Rng, Tensor, grad_check, matmul, softmax_rows, tensor_sum, transpose,
+    Parameter, Rng, Tensor, grad_check, matmul, reshape, softmax_rows, take_rows, tensor_sum,
+    transpose,
 )
 from rope_kit.rotary import RotaryEncoder, apply_rotary, dense_rotation_matrix
 
@@ -45,6 +46,33 @@ def rand_qkv(rng, seq, dim):
 # linear numerator's chunks: one position, one short of a block, exactly
 # one block, one past it, and a ragged third block.
 CHUNK_SEQS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+def dense_relative_bias(bucket_scores, r_min, band=False):
+    """The (..., seq, seq) bias of (..., seq, R) bucket scores, gathered
+    with tape ops.
+
+    With ``band`` each row's far-bucket score (the last) is subtracted, as
+    softmax_attention does: its arithmetic, entry for entry.
+    """
+    shape = bucket_scores.data.shape
+    seq, buckets = shape[-2:]
+    offsets = np.subtract.outer(np.arange(seq), np.arange(seq))
+    index = np.clip(offsets, r_min, r_min + buckets - 1) - r_min
+    rows = np.arange(bucket_scores.data.size // buckets).reshape(shape[:-1] + (1,)) * buckets
+    flat = reshape(bucket_scores, (bucket_scores.data.size, 1))
+    bias = reshape(take_rows(flat, rows + index), shape[:-1] + (seq,))
+    if band:
+        bias = bias - reshape(take_rows(flat, rows + buckets - 1), shape[:-1] + (1,))
+    return bias
+
+
+def shaw_reference_bias(q, rel):
+    """(..., seq, seq) Shaw bias q_m . e[clip(m - n)] from a (seq, seq, d) gather."""
+    seq, dim = q.data.shape[-2:]
+    embeddings = take_rows(rel.key_embeddings.tensor, rel.index_matrix(seq))
+    rows = reshape(q, q.data.shape[:-1] + (1, dim))
+    return reshape(matmul(rows, transpose(embeddings)), q.data.shape[:-1] + (seq,))
 
 
 def composed_attention(q, k, v, causal, bias=None):
@@ -144,14 +172,15 @@ class TestSoftmaxAttention:
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
     def test_gradient_with_bias(self, target, causal):
-        # T = 67 rows in two heads; the (T, T) bias broadcasts over the heads.
+        # T = 67 rows in two heads, with the bucket scores of a clipped
+        # relative bias over offsets -16..16.
         rng = Rng(90)
         params = {n: Parameter(n, rng.normal_array((2, 67, 4))) for n in "qkv"}
-        params["bias"] = Parameter("bias", rng.normal_array((67, 67)))
+        params["bias"] = Parameter("bias", rng.normal_array((2, 67, 33)))
 
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
-            out = softmax_attention(q, k, v, causal=causal, score_bias=bias)
+            out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
             return tensor_sum(out.output * out.output)
 
         assert grad_check(f, [params[target]], Rng(91), samples=12) < 1e-6
@@ -161,62 +190,77 @@ class TestSoftmaxAttention:
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_matches_composed_tape_ops_bit_for_bit(self, with_bias, causal, dtype):
         # The fused op is the old chain of six tape ops, reordered in place.
+        # The composed chain adds the dense form of the clipped relative bias
+        # (offsets -3..2) less each row's far-bucket score, as the fused op
+        # does. The bucket-score
+        # gradient is a row reduction summed in another order than the tape
+        # chain's, so it is held to 16 ulps of its largest entry instead.
         rng = Rng(93)
-        arrays = [rng.normal_array((2, 2, 19, 8)) for _ in range(4)]
+        arrays = [rng.normal_array((2, 2, 19, 8)) for _ in range(3)]
+        arrays.append(rng.normal_array((2, 2, 19, 6)))
 
         def run(fused):
-            params = [Parameter(n, a, dtype=dtype) for n, a in zip("qkv", arrays)]
-            if with_bias:
-                params.append(Parameter("bias", arrays[3] @ arrays[3].swapaxes(-1, -2),
-                                        dtype=dtype))
+            params = [Parameter(n, a, dtype=dtype) for n, a in zip(("q", "k", "v", "bias"),
+                                                                  arrays[:3 + with_bias])]
             q, k, v = (p.tensor for p in params[:3])
-            bias = params[3].tensor if with_bias else None
             if fused:
-                out = softmax_attention(q, k, v, causal=causal, score_bias=bias).output
+                relative = (params[3].tensor, -3) if with_bias else None
+                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
             else:
+                bias = dense_relative_bias(params[3].tensor, -3, band=True) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
 
-        for fused, composed in zip(run(True), run(False)):
-            assert fused.dtype == composed.dtype
-            assert np.array_equal(fused, composed)
+        fused, composed = run(True), run(False)
+        for a, b in zip(fused, composed):
+            assert a.dtype == b.dtype
+        for a, b in zip(fused[:4], composed[:4]):
+            assert np.array_equal(a, b)
+        if with_bias:
+            ulps = 16 * np.finfo(dtype).eps
+            assert np.abs(fused[4] - composed[4]).max() <= ulps * np.abs(composed[4]).max()
 
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_overflowing_scores_raise_without_warning(self, with_bias):
-        # q.k overflows in the product itself, or only once the bias is added.
+        # q.k overflows in the product itself, or only once the bias is
+        # added: offset 0's bucket score on the diagonal, the far bucket 0.
         size = 5e153 if with_bias else 1e200
         q = Tensor(np.full((3, 4), size))
-        bias = Tensor(np.full((3, 3), 1.7e308)) if with_bias else None
+        relative = (Tensor(np.tile([1.7e308, 0.0], (3, 1))), 0) if with_bias else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="softmax_attention"):
-                softmax_attention(q, q, Tensor(np.ones((3, 4))), causal=True, score_bias=bias)
+                softmax_attention(q, q, Tensor(np.ones((3, 4))), causal=True, relative=relative)
 
     def test_bias_that_does_not_broadcast(self):
+        # Bucket scores are q's shape but for R >= 1 in the last axis.
         q = Tensor(np.ones((3, 4)))
-        with pytest.raises(DimensionError, match="score_bias"):
-            softmax_attention(q, q, q, score_bias=Tensor(np.ones((2, 3, 3))))
+        for shape in [(2, 3, 3), (1, 3, 3), (4, 3), (3,), (3, 0)]:
+            with pytest.raises(DimensionError, match="bucket scores"):
+                softmax_attention(q, q, q, relative=(Tensor(np.ones(shape)), -1))
 
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_memory_peak_at_long_context(self, with_bias):
         # A (seq, seq) array is 2 MB here. The tape keeps only the causal
-        # P blocks (56% of one), and only the bias gradient is a full one.
+        # P blocks (56% of one); a clipped relative bias (offsets -16..16)
+        # adds (seq, 33) bucket scores and builds no (seq, seq) array.
         rng = Rng(92)
         params = [Parameter(n, rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
                   for n in "qkv"]
-        bias = None
+        relative = None
         if with_bias:
-            bias = Parameter("bias", rng.normal_array((1, 2, 512, 512)), dtype=np.float32).tensor
+            buckets = Parameter("bias", rng.normal_array((1, 2, 512, 33)), dtype=np.float32)
+            relative = (buckets.tensor, -16)
         tracemalloc.start()
         try:
-            out = softmax_attention(*(p.tensor for p in params), causal=True, score_bias=bias)
+            out = softmax_attention(*(p.tensor for p in params), causal=True, relative=relative)
             tensor_sum(out.output).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert params[0].gradient.shape == (1, 2, 512, 32)
-        assert peak < (5.5 if with_bias else 4) * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestQueryBlocks:
@@ -227,25 +271,30 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_matches_composed_tape_ops(self, with_bias, causal, seq):
         # One block is the unblocked op, bit for bit; more blocks only
-        # regroup sums. The (seq, seq) bias broadcasts over two heads.
+        # regroup sums. Two heads; the composed chain adds the dense form of
+        # a clipped relative bias (offsets -16..16) less each row's
+        # far-bucket score, as the fused op does, and the bucket-score
+        # gradient, a row reduction in another order, is held to the
+        # multi-block tolerance.
         rng = Rng(100 + seq)
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
         if with_bias:
-            arrays.append(rng.normal_array((seq, seq)))
+            arrays.append(rng.normal_array((2, seq, 33)))
 
         def run(fused):
             params = [Parameter(n, a) for n, a in zip(("q", "k", "v", "bias"), arrays)]
             q, k, v = (p.tensor for p in params[:3])
-            bias = params[3].tensor if with_bias else None
             if fused:
-                out = softmax_attention(q, k, v, causal=causal, score_bias=bias).output
+                relative = (params[3].tensor, -16) if with_bias else None
+                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
             else:
+                bias = dense_relative_bias(params[3].tensor, -16, band=True) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
 
-        for fused, composed in zip(run(True), run(False)):
-            if seq <= _CHUNK:
+        for i, (fused, composed) in enumerate(zip(run(True), run(False))):
+            if seq <= _CHUNK and i < 4:
                 assert np.array_equal(fused, composed)
             else:
                 assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
@@ -256,11 +305,11 @@ class TestQueryBlocks:
         seq = 2 * _CHUNK + 3
         rng = Rng(110)
         params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
-        params["bias"] = Parameter("bias", rng.normal_array((seq, seq)))
+        params["bias"] = Parameter("bias", rng.normal_array((2, seq, 33)))
 
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
-            out = softmax_attention(q, k, v, causal=causal, score_bias=bias)
+            out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
             return tensor_sum(out.output * out.output)
 
         assert grad_check(f, [params[target]], Rng(111), samples=24) < 1e-6
@@ -291,6 +340,18 @@ class TestQueryBlocks:
             with pytest.raises(NumericError, match="softmax_attention"):
                 softmax_attention(Tensor(q), Tensor(k), Tensor(np.ones((seq, 4))), causal=True)
 
+    def test_bucket_score_overflow_in_a_later_block_raises(self):
+        # Only query row _CHUNK + 5 has band scores that overflow once its
+        # far-bucket score (offsets >= 16) is taken off.
+        seq = 2 * _CHUNK + 3
+        q = Tensor(np.ones((seq, 4)))
+        buckets = np.zeros((seq, 33))
+        buckets[_CHUNK + 5, 16:] = [1.7e308] * 16 + [-1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="softmax_attention scores"):
+                softmax_attention(q, q, q, causal=True, relative=(Tensor(buckets), -16))
+
     def test_masked_scores_are_never_computed(self):
         # q_0 . k_100 overflows, but key 100 comes after query 0: a causal
         # call never scores it, while a full one does and raises.
@@ -315,15 +376,26 @@ def test_causal_mask_is_one_read_only_memo():
 
 
 class TestShawBias:
+    """Shaw et al. (2018)'s key term: bucket scores q E^T into softmax_attention."""
+
+    @staticmethod
+    def weights_without_keys(q, rel, causal=False):
+        # With k = 0 the scores are the bias alone, so the weights of row m
+        # are the softmax of the bias / sqrt(d) the op added to that row.
+        zeros = Tensor(np.zeros(q.shape))
+        relative = (shaw_score_bias(Tensor(q), rel), rel.r_min)
+        return softmax_attention(Tensor(q), zeros, zeros, causal, relative).weights
+
     def test_bias_matches_manual_loop(self):
         rng = Rng(10)
         rel = ShawRelative(-3, 3, 4, rng, scale=1.0)
         q = rng.normal_array((5, 4))
-        bias = shaw_score_bias(Tensor(q), rel).data
+        weights = self.weights_without_keys(q, rel)
         for m in range(5):
+            bias = [q[m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min] for n in range(5)]
+            expected = softmax_vec(np.array(bias) / 2.0)
             for n in range(5):
-                expected = q[m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
-                assert abs(bias[m, n] - expected) < 1e-12
+                assert abs(weights[m, n] - expected[n]) < 1e-12
 
     def test_gradients_flow_to_embeddings(self):
         rng = Rng(11)
@@ -332,9 +404,8 @@ class TestShawBias:
         v = Tensor(rng.normal_array((4, 4)))
 
         def f():
-            out = softmax_attention(
-                q.tensor, q.tensor, v, causal=True, score_bias=shaw_score_bias(q.tensor, rel)
-            )
+            relative = (shaw_score_bias(q.tensor, rel), rel.r_min)
+            out = softmax_attention(q.tensor, q.tensor, v, causal=True, relative=relative)
             return tensor_sum(out.output * out.output)
 
         err = grad_check(f, [q, rel.key_embeddings], Rng(12), samples=15)
@@ -346,20 +417,22 @@ class TestShawBias:
         rng = Rng(40)
         rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
         q = rng.normal_array((2, 2, 9, 4))
-        bias = shaw_score_bias(Tensor(q), rel).data
-        assert bias.shape == (2, 2, 9, 9)
+        weights = self.weights_without_keys(q, rel)
+        assert weights.shape == (2, 2, 9, 9)
         for b in range(2):
             for h in range(2):
                 for m in range(9):
+                    bias = [q[b, h, m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
+                            for n in range(9)]
+                    expected = softmax_vec(np.array(bias) / 2.0)
                     for n in range(9):
-                        e = rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
-                        assert abs(bias[b, h, m, n] - q[b, h, m] @ e) < 1e-12
+                        assert abs(weights[b, h, m, n] - expected[n]) < 1e-12
 
     def test_batched_heads_gradient(self):
         rng = Rng(41)
         rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
         q = Parameter("q", rng.normal_array((2, 2, 9, 4)))
-        w = Tensor(rng.normal_array((2, 2, 9, 9)))
+        w = Tensor(rng.normal_array((2, 2, 9, 5)))
 
         def f():
             return tensor_sum(shaw_score_bias(q.tensor, rel) * w)
@@ -373,8 +446,8 @@ class TestShawBias:
             shaw_score_bias(Tensor(np.zeros((3, 6))), rel)
 
     def test_memory_peak_at_long_context(self):
-        # The bias must come from the 33 per-bucket scores, never from a
-        # (seq, seq, dim) gather; that gather alone is 32 MB here.
+        # The 33 bucket scores per query are all the op builds: never a
+        # (seq, seq) bias (1 MB here) nor a (seq, seq, dim) gather (32 MB).
         rng = Rng(44)
         rel = ShawRelative(-16, 16, 32, rng, dtype=np.float32)
         q = Parameter("q", rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
@@ -385,7 +458,59 @@ class TestShawBias:
         finally:
             tracemalloc.stop()
         assert q.gradient.shape == (1, 2, 512, 32)
-        assert peak < 16 * 2**20
+        assert peak < 1 * 2**20
+
+    @pytest.mark.parametrize("clip", [(-16, 16), (-2, 2), (1, 4), (-5, -1), (0, 0)],
+                             ids=lambda c: f"{c[0]}..{c[1]}")
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("seq", CHUNK_SEQS)
+    def test_matches_dense_reference(self, seq, causal, clip):
+        # The reference builds the full Shaw bias from a (seq, seq, d) gather
+        # of the embeddings and feeds it to the composed chain.
+        rng = Rng(120 + seq)
+        rel = ShawRelative(*clip, 8, rng, scale=1.0)
+        arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
+
+        def run(fused):
+            params = [Parameter(n, a) for n, a in zip("qkv", arrays)] + [rel.key_embeddings]
+            rel.key_embeddings.zero_grad()
+            q, k, v = (p.tensor for p in params[:3])
+            if fused:
+                relative = (shaw_score_bias(q, rel), rel.r_min)
+                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
+            else:
+                out = composed_attention(q, k, v, causal, shaw_reference_bias(q, rel))
+            tensor_sum(out * out).backward()
+            return [out.data] + [p.gradient for p in params]
+
+        fused, reference = run(True), run(False)
+        for a, b in zip(fused[:4], reference[:4]):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        if clip[0] == clip[1] or (causal and clip[1] <= 0):
+            # Every scored pair takes one bucket, a per-row constant that
+            # the softmax cancels: the embeddings' gradient is exactly 0,
+            # the reference's is rounding.
+            assert not fused[4].any()
+            assert np.abs(reference[4]).max() <= 1e-12 * np.abs(reference[1]).max()
+        else:
+            assert np.abs(fused[4] - reference[4]).max() <= 1e-12 * np.abs(reference[4]).max()
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("target", ["q", "k", "v", "embeddings"])
+    def test_gradient_across_blocks(self, target, causal):
+        seq = 2 * _CHUNK + 3
+        rng = Rng(130)
+        rel = ShawRelative(-16, 16, 4, rng, scale=1.0)
+        params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
+        params["embeddings"] = rel.key_embeddings
+
+        def f():
+            q, k, v = (params[n].tensor for n in "qkv")
+            relative = (shaw_score_bias(q, rel), rel.r_min)
+            out = softmax_attention(q, k, v, causal=causal, relative=relative)
+            return tensor_sum(out.output * out.output)
+
+        assert grad_check(f, [params[target]], Rng(131), samples=24) < 1e-6
 
 
 class TestLinearAttention:

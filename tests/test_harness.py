@@ -145,6 +145,35 @@ class TestBuildModel:
         assert err < 1e-4
 
 
+    def test_shaw_gradient_across_query_blocks(self):
+        # Context 131 spans three 64-row query blocks of softmax attention.
+        model = ByteLM(tiny_config(pos_encoding="shaw", context_len=131), Rng(7))
+        tokens = np.array([Rng(8).randint(256) for _ in range(132)])[None, :]
+        err = grad_check(lambda: model.loss(tokens[:, :-1], tokens[:, 1:]),
+                         model.params, Rng(9), samples=60)
+        assert err < 1e-6
+
+    def test_shaw_memory_peak_matches_no_bias(self):
+        # The clipped relative bias adds (seq, 33) bucket scores per head,
+        # never a (seq, seq) array: at ctx512 its loss and backward peak
+        # within 1 MB of the same model without a position encoding.
+        rng = Rng(10)
+        tokens = np.array([rng.randint(256) for _ in range(513)])[None, :]
+
+        def peak(pos_encoding):
+            config = ModelConfig(d_model=64, heads=2, layers=2, context_len=512,
+                                 pos_encoding=pos_encoding)
+            model = ByteLM(config, Rng(11))
+            tracemalloc.start()
+            try:
+                model.loss(tokens[:, :-1], tokens[:, 1:]).backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("shaw") < peak("none") + 2**20
+
+
 def tape_ops(loss) -> int:
     """Number of op nodes on the tape that ends in ``loss``."""
     seen, stack, ops = set(), [loss], 0
