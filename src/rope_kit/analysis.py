@@ -113,12 +113,19 @@ def read_decay_csv(path) -> DecayCurve:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != DECAY_CSV_HEADER:
-            raise DataError(f"unexpected decay CSV header {header!r}")
+            raise DataError(f"{path}: unexpected decay CSV header {header!r}")
         distances, values = [], []
-        for line in fh:
-            r, value = line.strip().split(",")
-            distances.append(int(r))
-            values.append(float(value))
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                r, value = line.strip().split(",")
+                distances.append(int(r))
+                values.append(float(value))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: malformed decay CSV row {line.strip()!r}"
+                ) from None
     return DecayCurve(dim=0, distances=np.array(distances), values=np.array(values))
 
 

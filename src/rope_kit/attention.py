@@ -8,7 +8,9 @@ encodings are injected upstream of the projections.
 Softmax attention scores its queries in blocks of 64 rows; a causal
 block reads only the keys up to its last row, so the masked half of the
 (seq, seq) scores is never computed, and no (seq, seq) array is built in
-the forward or the backward, a clipped relative bias included.
+the forward or the backward. A clipped relative bias (causal calls only)
+enters each block as the band of offsets next to the diagonal, placed by
+one pad-and-reshape skew and gathered back from dS by its reverse.
 
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
@@ -39,7 +41,6 @@ from .numerics import (
 from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
 
 __all__ = [
-    "AttentionOutput",
     "LinearAttentionParts",
     "causal_mask",
     "softmax_attention",
@@ -62,28 +63,6 @@ POS_ENCODINGS = ("rope", "sinusoidal", "learned", "shaw", "none")
 # Rows per query block of softmax attention, and positions per chunk of
 # the causal linear numerator (see softmax_attention and _linear_core).
 _CHUNK = 64
-
-
-@dataclass
-class AttentionOutput:
-    """``output`` is on the tape; ``blocks`` are the probability row blocks.
-
-    ``weights`` is the full (..., seq, seq) probability matrix P as a
-    read-only array, exactly 0 above the diagonal when causal. It is
-    assembled from ``blocks`` on first read; the model never reads it.
-    """
-
-    output: Tensor
-    blocks: list[np.ndarray]
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        first, seq = self.blocks[0], self.blocks[-1].shape[-1]
-        weights = np.zeros(first.shape[:-2] + (seq, seq), first.dtype)
-        for r0, p in zip(range(0, seq, _CHUNK), self.blocks):
-            weights[..., r0:r0 + p.shape[-2], :p.shape[-1]] = p
-        weights.setflags(write=False)
-        return weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,41 +89,29 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _band_mix(lo: int, r_min: int, r_max: int, dtype) -> np.ndarray:
-    """(W, R) map whose column j, offset lo + j, picks bucket clip(lo + j)
-    less the far bucket R - 1: bucket_scores @ mix.T is the band's bias less
-    its row's far-bucket score, and dS_band @ mix the gradient of that."""
-    offsets = np.arange(lo, r_max)
+def _band_mix(r_min: int, r_max: int, dtype) -> np.ndarray:
+    """(W, R) map whose row j, offset j < r_max, picks bucket clip(j) less the
+    far bucket R - 1: bucket_scores @ mix.T is the band's bias less its row's
+    far-bucket score, and dS_band @ mix the gradient of that."""
+    offsets = np.arange(r_max)
     mix = np.zeros((offsets.size, r_max - r_min + 1), dtype)
     mix[np.arange(offsets.size), np.clip(offsets, r_min, r_max) - r_min] = 1
     mix[:, -1] -= 1
     return mix
 
 
-@functools.lru_cache(maxsize=32)
-def _band(slices: int, rows: int, keys: int, r0: int, lo: int,
-          r_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the band lo <= m - n < r_max of query rows [r0, r0 + rows)
-    in each of ``slices`` leading (batch, head) slices: ``put`` in the
-    C-contiguous (..., rows, keys) score block, ``take`` in the
-    (..., rows, r_max - lo) band grid, for the cells whose key is in [0, keys)."""
-    key = np.arange(r0, r0 + rows)[:, None] - np.arange(lo, r_max)
-    inside = (key >= 0) & (key < keys)
-    slice_ = np.arange(slices)[:, None]
-    put = (slice_ * (rows * keys) + (np.arange(rows)[:, None] * keys + key)[inside]).ravel()
-    take = (slice_ * inside.size + np.flatnonzero(inside)).ravel()
-    put.setflags(write=False)
-    take.setflags(write=False)
-    return put, take
-
-
-def _right_of_band(r0: int, r1: int, keys: int, r_min: int) -> np.ndarray:
-    """(r1 - r0, keys) bool, True where key n of query m has m - n < r_min."""
-    return np.arange(keys) > np.arange(r0, r1)[:, None] - r_min
+def _skewed(buffer: np.ndarray, r0: int) -> np.ndarray:
+    """The memory of a (..., rows, rows + W) buffer read as (..., rows,
+    rows + W - 1), so that cell (i, c < W) lands in column i + c, aligned
+    with keys [r0 - W + 1, r0 + rows) of query rows [r0, r0 + rows); the
+    columns of keys before 0 are left out."""
+    lead, (rows, width) = buffer.shape[:-2], buffer.shape[-2:]
+    view = buffer.reshape(lead + (-1,))[..., :rows * (width - 1)]
+    return view.reshape(lead + (rows, width - 1))[..., max(width - rows - 1 - r0, 0):]
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                      relative: tuple[Tensor, int] | None = None) -> AttentionOutput:
+                      relative: tuple[Tensor, int] | None = None) -> Tensor:
     """Scaled dot-product attention with row-normalized weights, one tape op.
 
     ``relative = (bucket_scores, r_min)``, bucket_scores of shape
@@ -152,9 +119,10 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     before 1/sqrt(d) scaling, d being q's last axis: score (m, n) gains
     bucket_scores[..., m, clip(m - n, r_min, r_max) - r_min], with
     r_max = r_min + R - 1. Shaw et al. (2018)'s key term is the case
-    bucket_scores = q E^T (:func:`shaw_score_bias`). Causal masking
-    excludes keys after the query position. Rotary encoding is applied to
-    q and k by the caller.
+    bucket_scores = q E^T (:func:`shaw_score_bias`). It needs
+    ``causal=True``; a non-causal call with it raises
+    ``ConfigurationError``. Causal masking excludes keys after the query
+    position. Rotary encoding is applied to q and k by the caller.
 
     The queries are taken in blocks of 64 rows, as in FlashAttention (Dao
     et al. 2022) but without its online softmax: block [r0, r1) scores
@@ -167,17 +135,20 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
 
     Keys at m - n >= r_max all take row m's far bucket, a per-row constant
     that the softmax cancels, so the op adds the bias less that constant:
-    only the band lo <= m - n < r_max (lo = 0 when causal, else r_min),
-    at flat positions memoised per block, and, when not causal, row m's
-    bucket-0-less-far score at m - n < r_min through a per-block mask.
+    only the band 0 <= m - n < r_max, W = max(r_max, 0) offsets wide, placed
+    with Music Transformer's skew (Huang et al. 2018): each block's
+    (rows, W) band, columns reversed, fills the first W columns of a zeroed
+    (rows, rows + W) buffer whose memory, read as (rows, rows + W - 1),
+    holds row i's band from column i on, aligned with the block's last
+    rows + W - 1 keys; the columns before key 0 are trimmed.
     The backward keeps only the P blocks and runs, per block,
     dP = G V^T, dV = P^T G, dS = P * (dP - rowsum(dP * P)) / sqrt(d),
     dQ = dS K, dK = (Q^T dS)^T, summing dK and dV into their key
-    prefixes; the same positions of dS give the bucket gradient, the far
-    bucket taking minus the rest of its row, the exact derivative of the
-    function computed. No (seq, seq) array is built. With seq <= 64
-    there is one block and the op is the unblocked computation, bit for
-    bit.
+    prefixes; the same skew read backwards gathers the band of dS into
+    the bucket gradient, the far bucket taking minus the rest of its row,
+    the exact derivative of the function computed. No (seq, seq) array is
+    built. With seq <= 64 there is one block and the op is the unblocked
+    computation, bit for bit.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     seq = _check_qkv(q, k, v)
@@ -189,12 +160,12 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             raise DimensionError(
                 f"bucket scores shape {rel.shape} is not {q.data.shape[:-1]} + (buckets,)"
             )
+        if not causal:
+            raise ConfigurationError("softmax_attention takes a relative bias only when causal")
         _check_finite(rel, "softmax_attention bucket scores")
         parents += (bucket_scores,)
-        r_max = r_min + rel.shape[-1] - 1
-        lo = 0 if causal else r_min
-        mix = _band_mix(lo, r_min, r_max, rel.dtype)
-        slices = math.prod(rel.shape[:-2])
+        mix = _band_mix(r_min, r_min + rel.shape[-1] - 1, rel.dtype)
+        band = mix.shape[0]
     scale = 1.0 / math.sqrt(q.data.shape[-1])
     out = np.empty(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
     blocks = []
@@ -204,11 +175,9 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
             probs = q.data[..., r0:r1, :] @ _swap(k.data[..., :keys, :])
             if relative is not None:
-                put, take = _band(slices, r1 - r0, keys, r0, lo, r_max)
-                probs.reshape(-1, copy=False)[put] += (rel[..., r0:r1, :] @ mix.T).reshape(-1)[take]
-                if not causal:
-                    np.add(probs, rel[..., r0:r1, :1] - rel[..., r0:r1, -1:], out=probs,
-                           where=_right_of_band(r0, r1, keys, r_min))
+                skew = np.zeros(rel.shape[:-2] + (r1 - r0, r1 - r0 + band), rel.dtype)
+                skew[..., :band] = (rel[..., r0:r1, :] @ mix.T)[..., ::-1]
+                probs[..., max(r0 - band + 1, 0):] += _skewed(skew, r0)
             probs *= scale
         _check_finite(probs, "softmax_attention scores")
         if causal:
@@ -240,18 +209,13 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                 d_k[..., :keys, :] += d_k_keys
                 d_v[..., :keys, :] += d_v_keys
             if d_rel is not None:
-                put, take = _band(slices, r1 - r0, keys, r0, lo, r_max)
-                band = np.zeros(d_scores.shape[:-1] + mix.shape[:1], d_scores.dtype)
-                band.reshape(-1, copy=False)[take] = d_scores.reshape(-1)[put]
-                np.matmul(band, mix.astype(band.dtype, copy=False), out=d_rel[..., r0:r1, :])
-                if not causal:
-                    near = d_scores.sum(axis=-1, where=_right_of_band(r0, r1, keys, r_min))
-                    d_rel[..., r0:r1, 0] += near
-                    d_rel[..., r0:r1, -1] -= near
+                skew = np.zeros(d_scores.shape[:-1] + (r1 - r0 + band,), d_scores.dtype)
+                _skewed(skew, r0)[...] = d_scores[..., max(r0 - band + 1, 0):]
+                np.matmul(np.ascontiguousarray(skew[..., :band][..., ::-1]),
+                          mix.astype(skew.dtype, copy=False), out=d_rel[..., r0:r1, :])
         return (d_q, d_k, d_v) if d_rel is None else (d_q, d_k, d_v, d_rel)
 
-    out = tape_op(out, parents, grad_fn, name="softmax_attention")
-    return AttentionOutput(output=out, blocks=blocks)
+    return tape_op(out, parents, grad_fn, name="softmax_attention")
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:

@@ -192,7 +192,7 @@ class ByteLM:
             relative = None
             if self.shaw is not None:
                 relative = (shaw_score_bias(q, self.shaw), self.shaw.r_min)
-            return softmax_attention(q, k, v, causal=True, relative=relative).output
+            return softmax_attention(q, k, v, causal=True, relative=relative)
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:
             return rope_linear_attention(q, k, v, self.rotary, feature_map, causal=True)

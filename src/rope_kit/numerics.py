@@ -714,7 +714,10 @@ def grad_check(f, params: list[Parameter], rng: Rng, samples: int = 25) -> float
     gradient is compared to (f(w+h) - f(w-h)) / 2h with h = 1e-5; the
     returned figure is max |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
     Parameters must be float64: the tolerance is meaningless in float32.
+    ``samples`` must be at least 1, or nothing would be compared.
     """
+    if samples < 1:
+        raise ConfigurationError(f"grad_check needs samples >= 1, got {samples}")
     for p in params:
         if p.tensor.data.dtype != np.float64:
             raise ConfigurationError(f"grad_check needs float64 parameters ({p.name})")

@@ -87,6 +87,20 @@ class TestDecayCurve:
         with pytest.raises(DataError):
             read_decay_csv(path)
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "decay.csv"
+        path.write_text("distance,mean_abs_S\n0,1.0\n1,0.5\n\n")
+        back = read_decay_csv(path)
+        np.testing.assert_array_equal(back.distances, [0, 1])
+        np.testing.assert_array_equal(back.values, [1.0, 0.5])
+
+    @pytest.mark.parametrize("row", ["1", "1,0.5,2", "one,0.5", "1,half"])
+    def test_csv_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "decay.csv"
+        path.write_text(f"distance,mean_abs_S\n0,1.0\n{row}\n")
+        with pytest.raises(DataError, match="decay.csv:3: malformed"):
+            read_decay_csv(path)
+
 
 class TestAbelIdentity:
     def test_zero_vectors(self):

@@ -75,6 +75,21 @@ def shaw_reference_bias(q, rel):
     return reshape(matmul(rows, transpose(embeddings)), q.data.shape[:-1] + (seq,))
 
 
+def attention_weights(q, k, causal=False, relative=None):
+    """softmax_attention's probabilities P, read as its output for v = I:
+    P @ I is P exactly, the zeros above a causal diagonal included."""
+    seq = q.data.shape[-2]
+    eye = Tensor(np.broadcast_to(np.eye(seq), q.data.shape[:-1] + (seq,)))
+    return softmax_attention(q, k, eye, causal, relative).data
+
+
+# A relative bias needs causal=True: (with_bias, causal) of the kernel cases.
+KERNEL_CASES = pytest.mark.parametrize(
+    "with_bias, causal", [(False, False), (False, True), (True, True)],
+    ids=["plain-full", "plain-causal", "bias-causal"],
+)
+
+
 def composed_attention(q, k, v, causal, bias=None):
     """The chain of tape ops that softmax_attention fuses."""
     seq, dim = q.data.shape[-2:]
@@ -91,13 +106,13 @@ class TestSoftmaxAttention:
         rng = Rng(1)
         q, k, v = rand_qkv(rng, 1, 4)
         out = softmax_attention(q, k, v)
-        np.testing.assert_allclose(out.output.data, v.data, atol=1e-15)
+        np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
     def test_equal_scores_average_values(self):
         v = Rng(2).normal_array((3, 4))
         zeros = Tensor(np.zeros((3, 4)))
         out = softmax_attention(zeros, zeros, Tensor(v))
-        np.testing.assert_allclose(out.output.data, np.tile(v.mean(0), (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(out.data, np.tile(v.mean(0), (3, 1)), atol=1e-12)
 
     def test_hand_weights_one_third_two_thirds(self):
         # q1.k1 = 0 and q1.k2 = 2 ln 2, so after /sqrt(4) the weights are 1:2
@@ -105,22 +120,21 @@ class TestSoftmaxAttention:
         k = Tensor([[0.0, 1.0, 0.0, 0.0], [2.0 * math.log(2.0), 0.0, 0.0, 0.0]])
         v = Tensor(Rng(3).normal_array((2, 4)))
         out = softmax_attention(q, k, v)
-        np.testing.assert_allclose(out.weights[0], [1 / 3, 2 / 3], atol=1e-15)
+        np.testing.assert_allclose(attention_weights(q, k)[0], [1 / 3, 2 / 3], atol=1e-15)
         np.testing.assert_allclose(
-            out.output.data[0], (v.data[0] + 2.0 * v.data[1]) / 3.0, atol=1e-14
+            out.data[0], (v.data[0] + 2.0 * v.data[1]) / 3.0, atol=1e-14
         )
 
     def test_weights_rows_sum_to_one(self):
         rng = Rng(4)
-        q, k, v = rand_qkv(rng, 6, 8)
-        out = softmax_attention(q, k, v, causal=True)
-        np.testing.assert_allclose(out.weights.sum(axis=-1), 1.0, atol=1e-12)
+        q, k, _ = rand_qkv(rng, 6, 8)
+        weights = attention_weights(q, k, causal=True)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_causal_mask_zeroes_future(self):
         rng = Rng(5)
-        q, k, v = rand_qkv(rng, 5, 4)
-        out = softmax_attention(q, k, v, causal=True)
-        upper = out.weights[~causal_mask(5)]
+        q, k, _ = rand_qkv(rng, 5, 4)
+        upper = attention_weights(q, k, causal=True)[~causal_mask(5)]
         np.testing.assert_array_equal(upper, 0.0)
 
     def test_position_agnostic_without_encoding(self):
@@ -128,10 +142,10 @@ class TestSoftmaxAttention:
         rng = Rng(6)
         q, k, v = (rng.normal_array((5, 4)) for _ in range(3))
         perm = np.array([3, 0, 4, 2, 1])
-        base = softmax_attention(Tensor(q), Tensor(k), Tensor(v)).output.data
+        base = softmax_attention(Tensor(q), Tensor(k), Tensor(v)).data
         shuffled = softmax_attention(
             Tensor(q[perm]), Tensor(k[perm]), Tensor(v[perm])
-        ).output.data
+        ).data
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-12)
 
     def test_rope_shift_equivariance(self):
@@ -141,7 +155,7 @@ class TestSoftmaxAttention:
         def run(shift):
             qr = np.stack([apply_rotary(enc, q[t], t + shift) for t in range(6)])
             kr = np.stack([apply_rotary(enc, k[t], t + shift) for t in range(6)])
-            return softmax_attention(Tensor(qr), Tensor(kr), Tensor(v), causal=True).output.data
+            return softmax_attention(Tensor(qr), Tensor(kr), Tensor(v), causal=True).data
 
         np.testing.assert_allclose(run(0), run(311), atol=1e-9)
 
@@ -158,18 +172,11 @@ class TestSoftmaxAttention:
 
         def f():
             out = softmax_attention(*(p.tensor for p in params), causal=True)
-            return tensor_sum(out.output * out.output)
+            return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(9), samples=15) < 1e-6
 
-    def test_weights_are_a_read_only_array(self):
-        rng = Rng(89)
-        q, k, v = rand_qkv(rng, 4, 4)
-        weights = softmax_attention(q, k, v, causal=True).weights
-        assert type(weights) is np.ndarray
-        assert not weights.flags.writeable
-
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
     def test_gradient_with_bias(self, target, causal):
         # T = 67 rows in two heads, with the bucket scores of a clipped
@@ -181,13 +188,12 @@ class TestSoftmaxAttention:
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
             out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
-            return tensor_sum(out.output * out.output)
+            return tensor_sum(out * out)
 
         assert grad_check(f, [params[target]], Rng(91), samples=12) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    @KERNEL_CASES
     def test_matches_composed_tape_ops_bit_for_bit(self, with_bias, causal, dtype):
         # The fused op is the old chain of six tape ops, reordered in place.
         # The composed chain adds the dense form of the clipped relative bias
@@ -205,7 +211,7 @@ class TestSoftmaxAttention:
             q, k, v = (p.tensor for p in params[:3])
             if fused:
                 relative = (params[3].tensor, -3) if with_bias else None
-                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
+                out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
                 bias = dense_relative_bias(params[3].tensor, -3, band=True) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
@@ -240,6 +246,13 @@ class TestSoftmaxAttention:
             with pytest.raises(DimensionError, match="bucket scores"):
                 softmax_attention(q, q, q, relative=(Tensor(np.ones(shape)), -1))
 
+    def test_relative_bias_needs_causal(self):
+        # Raised before any scoring: q.k would overflow.
+        q = Tensor(np.full((3, 4), 1e200))
+        relative = (Tensor(np.ones((3, 5))), -2)
+        with pytest.raises(ConfigurationError, match="causal"):
+            softmax_attention(q, q, q, relative=relative)
+
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_memory_peak_at_long_context(self, with_bias):
         # A (seq, seq) array is 2 MB here. The tape keeps only the causal
@@ -255,7 +268,7 @@ class TestSoftmaxAttention:
         tracemalloc.start()
         try:
             out = softmax_attention(*(p.tensor for p in params), causal=True, relative=relative)
-            tensor_sum(out.output).backward()
+            tensor_sum(out).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -267,8 +280,7 @@ class TestQueryBlocks:
     """softmax_attention scores its queries in blocks of _CHUNK rows."""
 
     @pytest.mark.parametrize("seq", CHUNK_SEQS)
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+    @KERNEL_CASES
     def test_matches_composed_tape_ops(self, with_bias, causal, seq):
         # One block is the unblocked op, bit for bit; more blocks only
         # regroup sums. Two heads; the composed chain adds the dense form of
@@ -286,7 +298,7 @@ class TestQueryBlocks:
             q, k, v = (p.tensor for p in params[:3])
             if fused:
                 relative = (params[3].tensor, -16) if with_bias else None
-                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
+                out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
                 bias = dense_relative_bias(params[3].tensor, -16, band=True) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
@@ -299,7 +311,7 @@ class TestQueryBlocks:
             else:
                 assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
 
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
     def test_gradient_across_blocks(self, target, causal):
         seq = 2 * _CHUNK + 3
@@ -310,19 +322,16 @@ class TestQueryBlocks:
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
             out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
-            return tensor_sum(out.output * out.output)
+            return tensor_sum(out * out)
 
         assert grad_check(f, [params[target]], Rng(111), samples=24) < 1e-6
 
     def test_weights_across_blocks(self):
         seq = 2 * _CHUNK + 3
         rng = Rng(112)
-        q, k, v = (Tensor(rng.normal_array((2, seq, 8))) for _ in range(3))
-        out = softmax_attention(q, k, v, causal=True)
-        weights = out.weights
-        assert type(weights) is np.ndarray and weights.shape == (2, seq, seq)
-        assert not weights.flags.writeable
-        assert out.weights is weights
+        q, k = (Tensor(rng.normal_array((2, seq, 8))) for _ in range(2))
+        weights = attention_weights(q, k, causal=True)
+        assert weights.shape == (2, seq, seq)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(weights[:, ~causal_mask(seq)] == 0.0)
         scores = q.data @ k.data.swapaxes(-1, -2) / np.sqrt(8)
@@ -361,7 +370,7 @@ class TestQueryBlocks:
         v = Rng(113).normal_array((seq, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = softmax_attention(Tensor(q), Tensor(k), Tensor(v), causal=True).output.data
+            out = softmax_attention(Tensor(q), Tensor(k), Tensor(v), causal=True).data
             with pytest.raises(NumericError, match="softmax_attention"):
                 softmax_attention(Tensor(q), Tensor(k), Tensor(v))
         np.testing.assert_array_equal(out[100:], np.repeat(v[100:101], seq - 100, axis=0))
@@ -379,12 +388,16 @@ class TestShawBias:
     """Shaw et al. (2018)'s key term: bucket scores q E^T into softmax_attention."""
 
     @staticmethod
-    def weights_without_keys(q, rel, causal=False):
+    def weights_without_keys(q, rel):
         # With k = 0 the scores are the bias alone, so the weights of row m
-        # are the softmax of the bias / sqrt(d) the op added to that row.
-        zeros = Tensor(np.zeros(q.shape))
+        # are the softmax of the bias / sqrt(d) the op added to keys n <= m.
         relative = (shaw_score_bias(Tensor(q), rel), rel.r_min)
-        return softmax_attention(Tensor(q), zeros, zeros, causal, relative).weights
+        return attention_weights(Tensor(q), Tensor(np.zeros(q.shape)), True, relative)
+
+    @staticmethod
+    def causal_softmax(bias, m):
+        # Row m's weights over every key: the softmax of keys n <= m, then 0.
+        return np.concatenate([softmax_vec(bias[:m + 1]), np.zeros(len(bias) - m - 1)])
 
     def test_bias_matches_manual_loop(self):
         rng = Rng(10)
@@ -393,7 +406,7 @@ class TestShawBias:
         weights = self.weights_without_keys(q, rel)
         for m in range(5):
             bias = [q[m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min] for n in range(5)]
-            expected = softmax_vec(np.array(bias) / 2.0)
+            expected = self.causal_softmax(np.array(bias) / 2.0, m)
             for n in range(5):
                 assert abs(weights[m, n] - expected[n]) < 1e-12
 
@@ -406,7 +419,7 @@ class TestShawBias:
         def f():
             relative = (shaw_score_bias(q.tensor, rel), rel.r_min)
             out = softmax_attention(q.tensor, q.tensor, v, causal=True, relative=relative)
-            return tensor_sum(out.output * out.output)
+            return tensor_sum(out * out)
 
         err = grad_check(f, [q, rel.key_embeddings], Rng(12), samples=15)
         assert err < 1e-6
@@ -424,7 +437,7 @@ class TestShawBias:
                 for m in range(9):
                     bias = [q[b, h, m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
                             for n in range(9)]
-                    expected = softmax_vec(np.array(bias) / 2.0)
+                    expected = self.causal_softmax(np.array(bias) / 2.0, m)
                     for n in range(9):
                         assert abs(weights[b, h, m, n] - expected[n]) < 1e-12
 
@@ -460,13 +473,15 @@ class TestShawBias:
         assert q.gradient.shape == (1, 2, 512, 32)
         assert peak < 1 * 2**20
 
-    @pytest.mark.parametrize("clip", [(-16, 16), (-2, 2), (1, 4), (-5, -1), (0, 0)],
+    @pytest.mark.parametrize("clip", [(-16, 16), (-2, 2), (1, 4), (-5, -1), (0, 0), (-3, 100)],
                              ids=lambda c: f"{c[0]}..{c[1]}")
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("seq", CHUNK_SEQS)
     def test_matches_dense_reference(self, seq, causal, clip):
         # The reference builds the full Shaw bias from a (seq, seq, d) gather
-        # of the embeddings and feeds it to the composed chain.
+        # of the embeddings and feeds it to the composed chain. With clip
+        # (-3, 100) the band is wider than a query block and reaches back
+        # before key 0 in the first two blocks.
         rng = Rng(120 + seq)
         rel = ShawRelative(*clip, 8, rng, scale=1.0)
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
@@ -477,7 +492,7 @@ class TestShawBias:
             q, k, v = (p.tensor for p in params[:3])
             if fused:
                 relative = (shaw_score_bias(q, rel), rel.r_min)
-                out = softmax_attention(q, k, v, causal=causal, relative=relative).output
+                out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
                 out = composed_attention(q, k, v, causal, shaw_reference_bias(q, rel))
             tensor_sum(out * out).backward()
@@ -495,7 +510,7 @@ class TestShawBias:
         else:
             assert np.abs(fused[4] - reference[4]).max() <= 1e-12 * np.abs(reference[4]).max()
 
-    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "embeddings"])
     def test_gradient_across_blocks(self, target, causal):
         seq = 2 * _CHUNK + 3
@@ -508,7 +523,7 @@ class TestShawBias:
             q, k, v = (params[n].tensor for n in "qkv")
             relative = (shaw_score_bias(q, rel), rel.r_min)
             out = softmax_attention(q, k, v, causal=causal, relative=relative)
-            return tensor_sum(out.output * out.output)
+            return tensor_sum(out * out)
 
         assert grad_check(f, [params[target]], Rng(131), samples=24) < 1e-6
 
@@ -759,7 +774,7 @@ class TestSimilarityAttention:
             q, k, v, lambda a, b: math.exp(float(a @ b) / 2.0)
         )
         kernel = softmax_attention(Tensor(q), Tensor(k), Tensor(v))
-        np.testing.assert_allclose(direct.data, kernel.output.data, atol=1e-12)
+        np.testing.assert_allclose(direct.data, kernel.data, atol=1e-12)
 
     def test_delta_kernel_selects_matching_value(self):
         rng = Rng(29)

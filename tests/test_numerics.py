@@ -584,3 +584,10 @@ class TestGradCheck:
         p = Parameter("w", np.ones(2, dtype=np.float32))
         with pytest.raises(ConfigurationError):
             grad_check(lambda: tensor_sum(p.tensor), [p], Rng(0), samples=1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_no_samples(self, samples):
+        # No entry compared would return 0.0, passing any tolerance.
+        p = Parameter("w", [3.0])
+        with pytest.raises(ConfigurationError, match="samples"):
+            grad_check(lambda: tensor_sum(p.tensor), [p], Rng(0), samples=samples)
