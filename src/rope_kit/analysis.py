@@ -15,7 +15,8 @@ Three families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 DECAY_CSV_HEADER = "distance,mean_abs_S"
+# Residual bounds of Derivation2DReport.passed, one per claim.
+DERIVATION_TOLERANCES = {"initial": 1e-12, "radial": 1e-12, "angular": 1e-10, "relative": 1e-10}
 
 # Random-draw checks run their trials in batches of at most this many, so
 # their memory does not grow with the trial count.
@@ -63,14 +66,14 @@ def randint_array(rng: Rng, n: int, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Mean |S_j(r)| against relative distance r.
+    """Mean |S_j(r)| against relative distance r = 0, 1, 2, ...
 
     S_j(r) is the partial sum of the first j unit phases e^{i r theta};
-    the value stored for r averages |S_j(r)| over j = 1..d/2. At r = 0
-    every phase is exactly 1, so the value is (d/2 + 1) / 2.
+    the value stored for r averages |S_j(r)| over j = 1..d/2, for the
+    dimension d the curve was built for. At r = 0 every phase is exactly
+    1, so the value is (d/2 + 1) / 2.
     """
 
-    dim: int
     distances: np.ndarray
     values: np.ndarray
 
@@ -85,21 +88,19 @@ def decay_curve(dim: int, max_distance: int) -> DecayCurve:
         phases = np.exp(1j * r * thetas)
         partial = np.cumsum(phases)
         values[r] = np.abs(partial).mean()
-    return DecayCurve(dim=dim, distances=distances, values=values)
+    return DecayCurve(distances=distances, values=values)
 
 
-def windowed_means(curve: DecayCurve, width: int = 25, windows: int = 4) -> np.ndarray:
-    """Means of consecutive non-overlapping windows starting at r = 0.
+def windowed_means(curve: DecayCurve) -> np.ndarray:
+    """Means of 4 consecutive non-overlapping windows of 25 distances,
+    starting at r = 0.
 
     The raw curve oscillates; windowing turns "it decays" into an
     assertable monotonicity statement.
     """
-    needed = width * windows
-    if len(curve.values) < needed:
-        raise ConfigurationError(
-            f"curve covers {len(curve.values)} distances, need {needed}"
-        )
-    return curve.values[:needed].reshape(windows, width).mean(axis=1)
+    if len(curve.values) < 100:
+        raise ConfigurationError(f"curve covers {len(curve.values)} distances, need 100")
+    return curve.values[:100].reshape(4, 25).mean(axis=1)
 
 
 def write_decay_csv(curve: DecayCurve, path) -> None:
@@ -110,23 +111,31 @@ def write_decay_csv(curve: DecayCurve, path) -> None:
 
 
 def read_decay_csv(path) -> DecayCurve:
+    """Parse a curve as :func:`write_decay_csv` writes it: at least one row,
+    distances 0, 1, 2, ... in order and every value finite."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != DECAY_CSV_HEADER:
             raise DataError(f"{path}: unexpected decay CSV header {header!r}")
-        distances, values = [], []
+        values = []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             try:
                 r, value = line.strip().split(",")
-                distances.append(int(r))
-                values.append(float(value))
+                r, value = int(r), float(value)
+                if not math.isfinite(value):  # decay_curve never writes one
+                    raise ValueError
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: malformed decay CSV row {line.strip()!r}"
                 ) from None
-    return DecayCurve(dim=0, distances=np.array(distances), values=np.array(values))
+            if r != len(values):
+                raise DataError(f"{path}:{lineno}: distance {r} where {len(values)} was due")
+            values.append(value)
+    if not values:
+        raise DataError(f"{path}: no decay rows")
+    return DecayCurve(distances=np.arange(len(values)), values=np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +191,8 @@ def abel_single(q, k, m, n, enc: RotaryEncoder):
     return residual, bound_ok, score_residual
 
 
-def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128),
-                        max_pos: int = 512) -> AbelCheckReport:
-    """Random-draw driver: unit-scale gaussian pairs, positions <= max_pos,
+def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128)) -> AbelCheckReport:
+    """:func:`abel_single` on unit-scale gaussian pairs at positions <= 512,
     drawn TRIAL_CHUNK trials at a time."""
     report = AbelCheckReport()
     for dim in dims:
@@ -192,8 +200,8 @@ def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128),
         for size in trial_chunks(trials):
             q = rng.normal_array((size, dim))
             k = rng.normal_array((size, dim))
-            m = randint_array(rng, max_pos + 1, size)
-            n = randint_array(rng, max_pos + 1, size)
+            m = randint_array(rng, 513, size)
+            n = randint_array(rng, 513, size)
             report.merge(*abel_single(q, k, m, n, enc))
     return report
 
@@ -207,38 +215,34 @@ def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128),
 class Derivation2DReport:
     """Residuals from the 2-d constructive checks, one max per claim."""
 
-    trials: int = 0
     max_initial_residual: float = 0.0      # position 0 acts as identity
     max_radial_residual: float = 0.0       # |f(x, m)| independent of m
     max_angular_residual: float = 0.0      # angle advances by m * theta
     max_relative_residual: float = 0.0     # score depends on n - m only
-    tolerances: dict = field(default_factory=lambda: {
-        "initial": 1e-12, "radial": 1e-12, "angular": 1e-10, "relative": 1e-10,
-    })
 
     @property
     def passed(self) -> bool:
         return all(getattr(self, f"max_{claim}_residual") < tolerance
-                   for claim, tolerance in self.tolerances.items())
+                   for claim, tolerance in DERIVATION_TOLERANCES.items())
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def derivation_oracle_2d(rng: Rng, trials: int, max_m: int = 16) -> Derivation2DReport:
+def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
     """Check the 2-d rotation construction on random projections.
 
     Draws random 2x2 projections, random inputs, and a random nonzero
     frequency, then verifies: rotating to position 0 changes nothing,
     the modulus never depends on position, the phase grows as m * theta
-    (mod 2pi), and query/key scores over a position grid collapse onto a
-    function of the offset alone. Trials are drawn TRIAL_CHUNK at a time;
-    each rotates to every position with one stacked dense matrix and
-    scores the whole grid with one call.
+    (mod 2pi) for m = 0..16, and query/key scores over a position grid
+    collapse onto a function of the offset alone. Trials are drawn
+    TRIAL_CHUNK at a time; each rotates to every position with one stacked
+    dense matrix and scores the whole grid with one call.
     """
-    report = Derivation2DReport(trials=trials)
-    positions = np.arange(max_m + 1)
+    report = Derivation2DReport()
+    positions = np.arange(17)
     grid = np.arange(0, 9, 2)
     for size in trial_chunks(trials):
         # q0 = W_q x_q and k0 = W_k x_k: a random projection of a random input.

@@ -38,7 +38,7 @@ from .numerics import (
     Tensor, _as_tensor, _check_finite, as_array, elu_plus_one, exp, softmax_rows,
     tape_op,
 )
-from .rotary import RotaryEncoder, apply_rotary, apply_rotary_rows
+from .rotary import RotaryEncoder, apply_rotary_rows
 
 __all__ = [
     "LinearAttentionParts",
@@ -366,34 +366,27 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
 
 
 def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
-                                feature_map: str = "elu", causal: bool = False,
-                                positions: np.ndarray | None = None) -> LinearAttentionParts:
-    """Parts of :func:`rope_linear_attention`; row t sits at position t
-    unless ``positions`` gives one position per row."""
+                                feature_map: str = "elu",
+                                causal: bool = False) -> LinearAttentionParts:
+    """Parts of :func:`rope_linear_attention`; row t sits at position t."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
-    if positions is None:
-        pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
-    else:
-        pq_rot, pk_rot = apply_rotary(encoder, pq, positions), apply_rotary(encoder, pk, positions)
+    pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
     out, den = _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
     return LinearAttentionParts(output=out, denominator=den)
 
 
 def rope_linear_attention(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
-                          feature_map: str = "elu", causal: bool = False,
-                          positions: np.ndarray | None = None) -> Tensor:
+                          feature_map: str = "elu", causal: bool = False) -> Tensor:
     """Linear attention with rotated feature maps in the numerator only.
 
     The denominator stays unrotated (the plain linear one, same code
     path), so normalization cannot divide by zero even though individual
     numerator weights may be negative.
     """
-    return rope_linear_attention_parts(
-        q, k, v, encoder, feature_map, causal, positions
-    ).output
+    return rope_linear_attention_parts(q, k, v, encoder, feature_map, causal).output
 
 
 def rope_weight_sign_stats(q, k, encoder: RotaryEncoder, feature_map: str = "elu",

@@ -121,7 +121,7 @@ def _suite_decay(rng: Rng, dims, trials: int):
     curve = analysis.decay_curve(128, 250)
     start = curve.values[0]
     exact = (128 / 2 + 1) / 2
-    means = analysis.windowed_means(curve, width=25, windows=4)
+    means = analysis.windowed_means(curve)
     decreasing = bool(np.all(np.diff(means) < 0))
     tail = float(curve.values[225:251].mean())
     ok = start == exact and decreasing and tail < 0.25 * start
@@ -132,7 +132,7 @@ def _suite_decay(rng: Rng, dims, trials: int):
 
 
 def _suite_abel(rng: Rng, dims, trials: int):
-    report = analysis.abel_identity_check(rng, trials, dims=(4, 64, 128))
+    report = analysis.abel_identity_check(rng, trials)
     ok = (
         report.max_identity_residual < 1e-10
         and report.bound_violations == 0
@@ -247,7 +247,7 @@ def cmd_decay(args) -> int:
     print(f"wrote {len(curve.values)} rows to {args.out}")
     print(f"E(0) = {curve.values[0]} (exact value (d/2+1)/2 = {(args.dim / 2 + 1) / 2})")
     if args.max_dist >= 100:
-        means = analysis.windowed_means(curve, width=25, windows=4)
+        means = analysis.windowed_means(curve)
         verdict = "strictly decreasing" if np.all(np.diff(means) < 0) else "NOT decreasing"
         print(f"windowed means (width 25): {np.round(means, 3).tolist()} -> {verdict}")
         return 0 if np.all(np.diff(means) < 0) else CHECK_EXIT

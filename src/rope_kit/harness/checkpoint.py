@@ -45,12 +45,12 @@ class _ZeroInit:
     """Stands in for the Rng while ``load_checkpoint`` rebuilds a model.
 
     Every array is overwritten from the file, so drawing an initialisation
-    would be wasted work; zeros of the requested dtype take its place.
+    would be wasted work; float64 zeros take its place.
     """
 
     @staticmethod
-    def normal_array(shape, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
+    def normal_array(shape, scale: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:

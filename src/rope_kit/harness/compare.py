@@ -94,12 +94,12 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum((y[1:] + y[:-1]) * 0.5 * np.diff(x)))
 
 
-def format_table(cmp: RunComparison, max_rows: int = 12) -> str:
-    """Aligned loss table plus the area-under-curve summary."""
-    if len(cmp.steps) <= max_rows:
+def format_table(cmp: RunComparison) -> str:
+    """Aligned loss table of at most 12 steps plus the area-under-curve summary."""
+    if len(cmp.steps) <= 12:
         picks = np.arange(len(cmp.steps))
     else:
-        picks = np.unique(np.linspace(0, len(cmp.steps) - 1, max_rows).astype(int))
+        picks = np.unique(np.linspace(0, len(cmp.steps) - 1, 12).astype(int))
     width = max(10, max(len(n) for n in cmp.names) + 2)
     lines = ["".join(["step".rjust(8)] + [n.rjust(width) for n in cmp.names])]
     for i in picks:

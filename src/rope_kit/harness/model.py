@@ -180,8 +180,7 @@ class ByteLM:
             h = h + ffn(f, self._p(f"layer{i}.w1"), self._p(f"layer{i}.w2"))
 
         h = rmsnorm(h, self._p("final_norm"))
-        logits = linear(h, self._p("lm_head"), flat=True)
-        return cross_entropy(logits, y_tokens.reshape(-1))
+        return cross_entropy(linear(h, self._p("lm_head")), y_tokens)
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         cfg = self.config

@@ -114,8 +114,8 @@ class Rng:
             raise ConfigurationError(f"randint upper bound must be positive, got {n}")
         return self.next_u64() % n
 
-    def normal_array(self, shape, scale: float = 1.0, dtype=np.float64) -> np.ndarray:
-        """``scale`` times ``prod(shape)`` consecutive ``normal()`` draws.
+    def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
+        """``scale`` times ``prod(shape)`` consecutive ``normal()`` draws, float64.
 
         The result and the final ``state`` are bit-identical to calling
         ``normal()`` once per element, in C order. splitmix64 is a counter
@@ -149,7 +149,7 @@ class Rng:
             map(math.cos, (u[1::2] * (2.0 * math.pi)).tolist()), np.float64, size
         )
         flat = np.sqrt(log_u1 * -2.0) * cos_angle
-        return (flat * scale).reshape(shape).astype(dtype)
+        return (flat * scale).reshape(shape)
 
     def spawn(self, stream: int) -> "Rng":
         """Derive an independent child stream; depends only on the seed."""
@@ -399,18 +399,17 @@ def _gemm_into(shape: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear(x: Tensor, w: Tensor, split_heads: int = 0, merge_heads: bool = False,
-           flat: bool = False) -> Tensor:
+def linear(x: Tensor, w: Tensor, split_heads: int = 0, merge_heads: bool = False) -> Tensor:
     """``x @ w`` for a 2-d weight as one GEMM over the rows of ``x``; one tape op.
 
     ``x`` is read as rows of its last axis, or, with ``merge_heads``, a
     (batch, heads, seq, head_dim) array as (batch * seq, heads * head_dim)
     rows, the heads of one position side by side. The product comes back
     with ``x``'s leading axes ((batch, seq) when merging) and ``w``'s
-    output width; as (rows, d_out) with ``flat``; or, with
-    ``split_heads=h``, as the (batch, h, seq, d_out / h) transposed view
-    of the (batch, seq, d_out) product. The backward is two 2-d GEMMs,
-    ``gx = g wᵀ`` and ``gw = xᵀ g``, and both gradients own their memory.
+    output width, or, with ``split_heads=h``, as the (batch, h, seq,
+    d_out / h) transposed view of the (batch, seq, d_out) product. The
+    backward is two 2-d GEMMs, ``gx = g wᵀ`` and ``gw = xᵀ g``, and both
+    gradients own their memory.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if merge_heads:
@@ -426,12 +425,12 @@ def linear(x: Tensor, w: Tensor, split_heads: int = 0, merge_heads: bool = False
     _, d_out = _weight_shape(w, rows.shape[1], "linear")
     product = rows @ w.data
     if split_heads:
-        if flat or len(lead) != 2 or d_out % split_heads:
+        if len(lead) != 2 or d_out % split_heads:
             raise DimensionError(f"linear: cannot split {lead + (d_out,)} into "
                                  f"{split_heads} heads")
         data = product.reshape(lead + (split_heads, -1)).transpose(0, 2, 1, 3)
     else:
-        data = product if flat else product.reshape(lead + (d_out,))
+        data = product.reshape(lead + (d_out,))
 
     def grad_fn(g):
         if split_heads:
@@ -612,17 +611,20 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+    """Mean negative log-likelihood of ``(...)`` integer targets under a
+    softmax over the last axis of ``(..., vocab)`` logits, read as rows;
+    the gradient is a fresh array of the logits' shape."""
     logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise DimensionError(f"cross_entropy expects (batch, vocab), got {logits.shape}")
     ids = np.asarray(targets, dtype=np.int64)
-    n, vocab = logits.data.shape
-    if ids.shape != (n,):
-        raise DimensionError(f"target count {ids.shape} != batch size {n}")
+    if logits.data.ndim == 0 or ids.shape != logits.data.shape[:-1]:
+        raise DimensionError(f"cross_entropy: targets {ids.shape} do not match the rows "
+                             f"of logits {logits.shape}")
+    vocab = logits.data.shape[-1]
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= vocab:
         raise IndexError(f"target outside [0, {vocab})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    rows = logits.data.reshape(-1, vocab)
+    n, ids = len(rows), ids.reshape(-1)
+    z = rows - rows.max(axis=1, keepdims=True)
     exp_z = np.exp(z)
     norm = exp_z.sum(axis=1, keepdims=True)
     log_norm = np.log(norm[:, 0])
@@ -630,21 +632,23 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     data = np.asarray((log_norm - picked).mean())
 
     def grad_fn(g):
-        probs = exp_z / norm  # a fresh array: exp_z is kept unchanged
+        grad = np.empty(logits.data.shape, dtype=exp_z.dtype)
+        probs = grad.reshape(n, vocab)  # exp_z is kept unchanged
+        np.divide(exp_z, norm, out=probs)
         probs[np.arange(n), ids] -= 1.0
         probs *= g / n
-        return (probs,)
+        return (grad,)
 
     return tape_op(data, (logits,), grad_fn, name="cross_entropy")
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
-    """Scale each last-axis row to unit RMS, then apply a learned gain."""
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
+    """Scale each last-axis row to unit RMS (eps 1e-5), then apply a learned gain."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise DimensionError(f"gain shape {gain.data.shape} != ({d},)")
-    scale = 1.0 / np.sqrt((x.data**2).mean(axis=-1, keepdims=True) + eps)
+    scale = 1.0 / np.sqrt((x.data**2).mean(axis=-1, keepdims=True) + 1e-5)
     normed = x.data * scale
     data = normed * gain.data
 

@@ -59,9 +59,10 @@ class RotaryEncoder:
 
     ``thetas`` is the frequency set Theta, one per coordinate pair; by
     default the geometric ladder theta_i = 10000^(-2(i-1)/d), i = 1..d/2.
-    It is stored as a read-only float64 array. The rotation at position m
-    is the closed form m * theta_i, so explicit positions get their
-    cos/sin computed directly and no table has to cover them.
+    Every theta must be finite; the set is stored as a read-only float64
+    array. The rotation at position m is the closed form m * theta_i, so
+    explicit positions get their cos/sin computed directly and no table
+    has to cover them.
     ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps the pair of
     the most recent ``seq``, so a training loop at a fixed context builds
     it once.
@@ -75,6 +76,8 @@ class RotaryEncoder:
         thetas = np.array(thetas, dtype=np.float64)
         if thetas.shape != (dim // 2,):
             raise ConfigurationError(f"dim {dim} needs {dim // 2} thetas, got {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ConfigurationError(f"thetas must be finite, got {thetas}")
         thetas.setflags(write=False)
         self.dim = dim
         self.thetas = thetas

@@ -122,7 +122,7 @@ def test_criterion_05_decay_curve():
     assert decay_curve(4, 0).values[0] == 1.5
     curve = decay_curve(128, 250)
     assert curve.values[0] == 32.5  # (d/2 + 1) / 2 exactly
-    means = windowed_means(curve, width=25, windows=4)
+    means = windowed_means(curve)
     assert (np.diff(means) < 0).all()
     tail = float(curve.values[225:251].mean())
     assert tail < 0.25 * curve.values[0]

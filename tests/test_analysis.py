@@ -54,7 +54,7 @@ class TestDecayCurve:
 
     def test_windowed_means_strictly_decreasing(self):
         curve = decay_curve(128, 100)
-        means = windowed_means(curve, width=25, windows=4)
+        means = windowed_means(curve)
         assert means.shape == (4,)
         assert (np.diff(means) < 0).all()
 
@@ -68,7 +68,7 @@ class TestDecayCurve:
 
     def test_window_needs_enough_points(self):
         with pytest.raises(ConfigurationError):
-            windowed_means(decay_curve(8, 10), width=25, windows=4)
+            windowed_means(decay_curve(8, 10))
 
     def test_csv_roundtrip(self, tmp_path):
         curve = decay_curve(16, 40)
@@ -99,6 +99,27 @@ class TestDecayCurve:
         path = tmp_path / "decay.csv"
         path.write_text(f"distance,mean_abs_S\n0,1.0\n{row}\n")
         with pytest.raises(DataError, match="decay.csv:3: malformed"):
+            read_decay_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value_names_its_line(self, tmp_path, value):
+        path = tmp_path / "decay.csv"
+        path.write_text(f"distance,mean_abs_S\n0,1.5\n1,{value}\n")
+        with pytest.raises(DataError, match="decay.csv:3: malformed"):
+            read_decay_csv(path)
+
+    def test_csv_without_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "decay.csv"
+        path.write_text("distance,mean_abs_S\n\n")
+        with pytest.raises(DataError, match="decay.csv: no decay rows"):
+            read_decay_csv(path)
+
+    @pytest.mark.parametrize("distances, line", [((0, 0, -3), 3), ((1, 2), 2), ((0, 2), 3),
+                                                 ((0, 1, 1), 4)])
+    def test_csv_distances_must_count_up_from_zero(self, tmp_path, distances, line):
+        path = tmp_path / "decay.csv"
+        path.write_text("distance,mean_abs_S\n" + "".join(f"{r},1.0\n" for r in distances))
+        with pytest.raises(DataError, match=f"decay.csv:{line}: distance"):
             read_decay_csv(path)
 
 

@@ -135,7 +135,7 @@ class TestRng:
         rng = Rng(seed)
         h = hashlib.sha256()
         for shape, scale, dtype in NORMAL_ARRAY_CASES:
-            out = rng.normal_array(shape, scale=scale, dtype=dtype)
+            out = rng.normal_array(shape, scale=scale).astype(dtype)
             assert out.shape == shape and out.dtype == dtype
             h.update(out.tobytes())
             h.update(rng.state.to_bytes(8, "little"))
@@ -286,6 +286,32 @@ class TestCrossEntropy:
         logits.zero_grad()
         loss.backward()
         assert np.array_equal(logits.gradient, first)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leading_axes_match_flattened_rows(self, dtype):
+        # (batch, seq, vocab) logits with (batch, seq) targets are the
+        # (batch * seq, vocab) call, bit for bit in the loss and gradient.
+        rng = Rng(47)
+        logits = rng.normal_array((3, 5, 11), scale=3.0).astype(dtype)
+        targets = np.array([rng.randint(11) for _ in range(15)]).reshape(3, 5)
+
+        def run(x, ids):
+            p = Parameter("logits", x)
+            loss = cross_entropy(p.tensor, ids)
+            loss.backward()
+            return loss.data, p.gradient
+
+        shaped_loss, shaped_grad = run(logits, targets)
+        flat_loss, flat_grad = run(logits.reshape(15, 11), targets.reshape(15))
+        assert shaped_loss.dtype == flat_loss.dtype == dtype
+        assert shaped_loss.tobytes() == flat_loss.tobytes()
+        assert shaped_grad.shape == logits.shape and shaped_grad.dtype == dtype
+        assert shaped_grad.tobytes() == flat_grad.tobytes()
+
+    @pytest.mark.parametrize("target_shape", [(15,), (5, 3), (3, 5, 1), (3, 4)])
+    def test_target_shape_must_match_leading_axes(self, target_shape):
+        with pytest.raises(DimensionError):
+            cross_entropy(Tensor(np.zeros((3, 5, 11))), np.zeros(target_shape, dtype=np.int64))
 
 
 class TestElementwise:
@@ -489,22 +515,19 @@ class TestFusedDense:
             assert fused.dtype == composed.dtype == dtype
             assert np.array_equal(fused, composed)
 
-    @pytest.mark.parametrize("form", ["plain", "split", "merge", "flat"])
+    @pytest.mark.parametrize("form", ["plain", "split", "merge"])
     def test_linear_forms_match_chain_and_gradient(self, form):
         rng = Rng(43)
         shape = (3, 2, 7, 4) if form == "merge" else (3, 7, 8)
         x = Parameter("x", rng.normal_array(shape))
         w = Parameter("w", rng.normal_array((8, 6)))
-        options = {"split": dict(split_heads=2), "merge": dict(merge_heads=True),
-                   "flat": dict(flat=True)}.get(form, {})
+        options = {"split": dict(split_heads=2), "merge": dict(merge_heads=True)}.get(form, {})
         if form == "split":
             expected = heads_chain(x.tensor, w.tensor, 2)
         elif form == "merge":
             expected = merge_chain(x.tensor, w.tensor)
         else:
             expected = matmul(x.tensor, w.tensor)
-            if form == "flat":
-                expected = reshape(expected, (21, 6))
         weights = Tensor(rng.normal_array(expected.shape))
         out = linear(x.tensor, w.tensor, **options)
         assert out.shape == expected.shape

@@ -60,6 +60,11 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             RotaryEncoder(4, thetas)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thetas_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RotaryEncoder(4, [bad, 1.0])
+
     def test_given_thetas_are_copied_read_only(self):
         given = np.array([0.5, 0.25])
         enc = RotaryEncoder(4, given)

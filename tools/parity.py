@@ -16,7 +16,8 @@ JSON file holding a sha256 of each artifact:
 - the stdout, metrics and checkpoint of a default-settings
   ``train --steps 2`` run;
 - the ``bench`` agreement line;
-- the stdout and CSV of a default-settings ``decay`` run.
+- the stdout and CSV of a default-settings ``decay`` run;
+- the stdout of ``compare`` over the ``COMPARED`` runs' float64 metrics.
 
 The same file holds the per-step losses of a 50-step float64 run of
 each config in ``RUNS``. Every run trains on one corpus generated here
@@ -65,6 +66,8 @@ RUNS = {
     **{f"ctx200.{enc}-softmax": CTX200 + ("--variant", enc, "--attention", "softmax")
        for enc in ("rope", "shaw")},
 }
+# compare tabulates 12 of the LOSS_STEPS rows of these runs.
+COMPARED = ("ctx64.rope-softmax", "ctx64.shaw-softmax")
 DIGEST_STEPS = 15
 LOSS_STEPS = 50
 WORDS = ("the of and a to in is was he for it with as his on be at by had not are but "
@@ -146,6 +149,8 @@ def probe(tree: Path) -> dict:
         digests["bench.agreement"] = sha256(b"\n".join(bench))
         digests["decay-defaults.stdout"] = sha256(p.run("decay"))
         digests["decay-defaults.csv"] = file_digest(p.work / "decay.csv")
+        compared = (f"{name}.64.csv" for name in COMPARED)
+        digests["compare.stdout"] = sha256(p.run("compare", *compared))
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "nproc": os.cpu_count(), "machine": platform.machine()}
     return {"tree": str(tree), "env": env, "digests": digests, "losses": losses}
