@@ -37,7 +37,6 @@ __all__ = [
     "derivation_oracle_2d",
     "TRIAL_CHUNK",
     "trial_chunks",
-    "randint_array",
 ]
 
 DECAY_CSV_HEADER = "distance,mean_abs_S"
@@ -52,11 +51,6 @@ TRIAL_CHUNK = 250
 def trial_chunks(trials: int) -> list[int]:
     """Batch sizes that add up to ``trials``, each at most TRIAL_CHUNK."""
     return [min(TRIAL_CHUNK, trials - start) for start in range(0, trials, TRIAL_CHUNK)]
-
-
-def randint_array(rng: Rng, n: int, size: int) -> np.ndarray:
-    """``size`` consecutive ``rng.randint(n)`` draws as an integer array."""
-    return np.array([rng.randint(n) for _ in range(size)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +194,8 @@ def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128)) -> AbelCheckRe
         for size in trial_chunks(trials):
             q = rng.normal_array((size, dim))
             k = rng.normal_array((size, dim))
-            m = randint_array(rng, 513, size)
-            n = randint_array(rng, 513, size)
+            m = rng.randint_array(513, size)
+            n = rng.randint_array(513, size)
             report.merge(*abel_single(q, k, m, n, enc))
     return report
 
@@ -238,8 +232,9 @@ def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
     the modulus never depends on position, the phase grows as m * theta
     (mod 2pi) for m = 0..16, and query/key scores over a position grid
     collapse onto a function of the offset alone. Trials are drawn
-    TRIAL_CHUNK at a time; each rotates to every position with one stacked
-    dense matrix and scores the whole grid with one call.
+    TRIAL_CHUNK at a time; one encoder holds a chunk's thetas as a
+    (size, 1) set, so one stacked dense-matrix call rotates every trial to
+    every position and one score call covers every trial's grid.
     """
     report = Derivation2DReport()
     positions = np.arange(17)
@@ -250,11 +245,10 @@ def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
                             rng.normal_array((size, 2))) for _ in range(2))
         thetas = np.array([0.1 + 1.9 * rng.uniform() for _ in range(size)])  # nonzero
 
-        encoders = [RotaryEncoder(2, thetas[t:t + 1]) for t in range(size)]
-        rotated = np.stack([dense_rotation_matrix(enc, positions) @ q
-                            for enc, q in zip(encoders, q0)])  # [t, m, xy]
-        scores = np.stack([rope_score(q, k, grid[:, None], grid, enc)
-                           for enc, q, k in zip(encoders, q0, k0)])  # [t, m, n]
+        enc = RotaryEncoder(2, thetas[:, None])
+        rotated = (dense_rotation_matrix(enc, positions) @ q0[..., None])[..., 0]  # [m, t, xy]
+        rotated = rotated.swapaxes(0, 1)  # [t, m, xy]
+        scores = rope_score(q0, k0, grid[:, None], grid, enc).transpose(2, 0, 1)  # [t, m, n]
 
         z, z0 = rotated[..., 0] + 1j * rotated[..., 1], q0[:, :1] + 1j * q0[:, 1:]
         drift = _wrap_angle(np.angle(z) - np.angle(z0) - positions * thetas[:, None])

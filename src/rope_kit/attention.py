@@ -14,10 +14,11 @@ one pad-and-reshape skew and gathered back from dS by its reverse.
 
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
-the generic :func:`similarity_attention` double loop serves as the
-quadratic reference they are checked against. The causal numerator is
-chunkwise: masked quadratic attention inside chunks of 64 positions plus
-a running d x d key-value state between chunks, all in batched matmuls
+the generic :func:`similarity_attention`, which scores each query row
+against every key directly, serves as the quadratic reference they are
+checked against. The causal numerator is chunkwise: masked quadratic
+attention inside chunks of 64 positions plus a running d x d key-value
+state between chunks, all in batched matmuls
 (O(seq * (64 + d) * d) time, O(seq * (64 + d) + (seq / 64) * d^2) memory
 per head). The rotary-linear variant rotates only the numerator's
 feature maps and reuses the plain linear denominator via the same code
@@ -415,9 +416,11 @@ def rope_weight_sign_stats(q, k, encoder: RotaryEncoder, feature_map: str = "elu
 def similarity_attention(q, k, v, sim) -> Tensor:
     """Generic normalized attention for an arbitrary similarity function.
 
-    Direct O(seq^2) double loop; serves as the reference the factored
-    variants are compared against. ``sim(q_m, k_n)`` must be
-    non-negative; a row of all-zero similarities cannot be normalized.
+    Direct O(seq^2) scores, one query row at a time; serves as the
+    reference the factored variants are compared against. ``sim(q_m, k)``
+    returns the (seq,) similarities of query row m to every key row; they
+    must be non-negative, and a row of all-zero similarities cannot be
+    normalized.
     """
     qa, ka, va = as_array(q), as_array(k), as_array(v)
     if qa.ndim != 2 or ka.shape != qa.shape or va.shape[0] != qa.shape[0]:
@@ -427,8 +430,10 @@ def similarity_attention(q, k, v, sim) -> Tensor:
     seq = qa.shape[0]
     scores = np.empty((seq, seq), dtype=np.float64)
     for m in range(seq):
-        for n in range(seq):
-            scores[m, n] = sim(qa[m], ka[n])
+        row = np.asarray(sim(qa[m], ka), dtype=np.float64)
+        if row.shape != (seq,):
+            raise DimensionError(f"sim returned shape {row.shape} for {seq} keys")
+        scores[m] = row
     if (scores < 0).any():
         raise NumericError("similarity function returned a negative value")
     row_sums = scores.sum(axis=1)

@@ -109,7 +109,7 @@ def _sample_batch(corpus: Corpus, rng: Rng, batch_size: int, seq: int):
         raise DataError(
             f"training split ({len(corpus.train)} bytes) is not longer than the context ({seq})"
         )
-    starts = [rng.randint(span) for _ in range(batch_size)]
+    starts = rng.randint_array(span, batch_size)
     x = np.stack([corpus.train[s : s + seq] for s in starts])
     y = np.stack([corpus.train[s + 1 : s + seq + 1] for s in starts])
     return x, y

@@ -72,7 +72,8 @@ def _u64(value: int) -> np.ndarray:
 _U64_GAMMA = _u64(_GAMMA)
 _U64_MUL1 = _u64(0xBF58476D1CE4E5B9)
 _U64_MUL2 = _u64(0x94D049BB133111EB)
-_U64_SHIFTS = tuple(_u64(k) for k in (30, 27, 31, 11))
+_U64_SHIFTS = tuple(_u64(k) for k in (30, 27, 31))
+_U64_11 = _u64(11)
 
 
 def _mix64(z: int) -> int:
@@ -114,14 +115,23 @@ class Rng:
             raise ConfigurationError(f"randint upper bound must be positive, got {n}")
         return self.next_u64() % n
 
+    def randint_array(self, n: int, size: int) -> np.ndarray:
+        """``size`` consecutive ``randint(n)`` draws as an int64 array.
+
+        The result and the final ``state`` are bit-identical to the scalar
+        calls. ``n`` is at most 2**63, so every value fits in an int64.
+        """
+        if not 1 <= n <= 2**63:
+            raise ConfigurationError(f"randint_array bound must be in [1, 2**63], got {n}")
+        if size < 0:
+            raise ConfigurationError(f"randint_array size must be >= 0, got {size}")
+        return (self._u64_block(size) % _u64(n)).astype(np.int64)
+
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
         """``scale`` times ``prod(shape)`` consecutive ``normal()`` draws, float64.
 
         The result and the final ``state`` are bit-identical to calling
-        ``normal()`` once per element, in C order. splitmix64 is a counter
-        hash (draw k from state s is ``mix64(s + k * gamma)``), so the 2n
-        uniforms are computed at once in uint64 arrays, whose arithmetic
-        wraps mod 2**64 like the scalar code's masks. ``log`` and ``cos``
+        ``normal()`` once per element, in C order. ``log`` and ``cos``
         stay on libm (``math``) on purpose: numpy's SIMD versions differ
         from it in the last bit on some inputs. ``sqrt`` and the products
         are correctly rounded in both, so they run in numpy.
@@ -129,18 +139,9 @@ class Rng:
         if not np.iterable(shape):
             shape = (shape,)
         size = int(math.prod(shape))
-        draws = 2 * size
-        z = np.arange(1, draws + 1, dtype=np.uint64)
-        z *= _U64_GAMMA
-        z += _u64(self._state)
-        self._state = (self._state + draws * _GAMMA) & _MASK64
-        s30, s27, s31, s11 = _U64_SHIFTS
-        z ^= z >> s30
-        z *= _U64_MUL1
-        z ^= z >> s27
-        z *= _U64_MUL2
-        z ^= z >> s31
-        u = (z >> s11) * 2.0**-53  # exact: 53-bit integers times a power of two
+        z = self._u64_block(2 * size)
+        z >>= _U64_11
+        u = z * 2.0**-53  # as uniform(): 53-bit integers times a power of two, exact
         # Even draws feed the radius, odd ones the angle, as in normal().
         # Products put the array first (the same IEEE result): a Python
         # float on the left costs a failed float.__mul__ first.
@@ -150,6 +151,26 @@ class Rng:
         )
         flat = np.sqrt(log_u1 * -2.0) * cos_angle
         return (flat * scale).reshape(shape)
+
+    def _u64_block(self, draws: int) -> np.ndarray:
+        """The next ``draws`` ``next_u64()`` outputs as one uint64 array.
+
+        splitmix64 is a counter hash (draw k from state s is
+        ``mix64(s + k * gamma)``), so the draws are computed at once in
+        uint64 arrays, whose arithmetic wraps mod 2**64 like the scalar
+        code's masks.
+        """
+        z = np.arange(1, draws + 1, dtype=np.uint64)
+        z *= _U64_GAMMA
+        z += _u64(self._state)
+        self._state = (self._state + draws * _GAMMA) & _MASK64
+        s30, s27, s31 = _U64_SHIFTS
+        z ^= z >> s30
+        z *= _U64_MUL1
+        z ^= z >> s27
+        z *= _U64_MUL2
+        z ^= z >> s31
+        return z
 
     def spawn(self, stream: int) -> "Rng":
         """Derive an independent child stream; depends only on the seed."""

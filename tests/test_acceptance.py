@@ -163,8 +163,8 @@ def test_criterion_08_linear_attention_equivalence():
         return e / e.sum()
 
     sims = {
-        "elu": lambda a, b: float(elu1(a) @ elu1(b)),
-        "softmax-exp": lambda a, b: float(softmax_vec(a) @ np.exp(b)),
+        "elu": lambda q_m, k: elu1(k) @ elu1(q_m),
+        "softmax-exp": lambda q_m, k: np.exp(k) @ softmax_vec(q_m),
     }
     worst = 0.0
     for seq, dim in ((4, 4), (16, 16), (64, 32), (64, 64)):

@@ -544,8 +544,8 @@ class TestLinearAttention:
         np.testing.assert_allclose(out.data, np.tile(v.data.mean(0), (4, 1)), atol=1e-12)
 
     @pytest.mark.parametrize("feature_map,sim", [
-        ("elu", lambda a, b: float(elu1(a) @ elu1(b))),
-        ("softmax-exp", lambda a, b: float(softmax_vec(a) @ np.exp(b))),
+        ("elu", lambda q_m, k: elu1(k) @ elu1(q_m)),
+        ("softmax-exp", lambda q_m, k: np.exp(k) @ softmax_vec(q_m)),
     ])
     def test_regrouped_equals_direct(self, feature_map, sim):
         rng = Rng(15)
@@ -734,14 +734,14 @@ class TestSimilarityAttention:
     def test_constant_similarity_averages(self):
         rng = Rng(27)
         q, k, v = (rng.normal_array((4, 3)) for _ in range(3))
-        out = similarity_attention(q, k, v, lambda a, b: 1.0)
+        out = similarity_attention(q, k, v, lambda q_m, k: np.ones(len(k)))
         np.testing.assert_allclose(out.data, np.tile(v.mean(0), (4, 1)), atol=1e-14)
 
     def test_exp_similarity_matches_softmax_attention(self):
         rng = Rng(28)
         q, k, v = (rng.normal_array((6, 4)) for _ in range(3))
         direct = similarity_attention(
-            q, k, v, lambda a, b: math.exp(float(a @ b) / 2.0)
+            q, k, v, lambda q_m, k: np.exp(k @ q_m / 2.0)
         )
         kernel = softmax_attention(Tensor(q), Tensor(k), Tensor(v))
         np.testing.assert_allclose(direct.data, kernel.data, atol=1e-12)
@@ -751,15 +751,23 @@ class TestSimilarityAttention:
         q = np.eye(4)
         k = np.eye(4)
         v = rng.normal_array((4, 4))
-        out = similarity_attention(q, k, v, lambda a, b: float(np.allclose(a, b)))
+        out = similarity_attention(
+            q, k, v, lambda q_m, k: np.isclose(q_m, k).all(axis=1).astype(float)
+        )
         np.testing.assert_allclose(out.data, v, atol=1e-15)
 
     def test_negative_similarity_rejected(self):
         ones = np.ones((2, 2))
         with pytest.raises(NumericError):
-            similarity_attention(ones, ones, ones, lambda a, b: -1.0)
+            similarity_attention(ones, ones, ones, lambda q_m, k: -np.ones(len(k)))
 
     def test_zero_row_rejected(self):
         ones = np.ones((2, 2))
         with pytest.raises(NumericError):
-            similarity_attention(ones, ones, ones, lambda a, b: 0.0)
+            similarity_attention(ones, ones, ones, lambda q_m, k: np.zeros(len(k)))
+
+    @pytest.mark.parametrize("sim", [lambda q_m, k: 1.0, lambda q_m, k: np.ones((len(k), 1))])
+    def test_sim_must_return_one_row(self, sim):
+        ones = np.ones((3, 2))
+        with pytest.raises(DimensionError):
+            similarity_attention(ones, ones, ones, sim)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rope_kit import analysis, cli
+from rope_kit import analysis, attention, cli, rotary
 from rope_kit.harness import ModelConfig
 
 
@@ -44,6 +44,30 @@ class TestExitCodes:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak < 10e6, f"verify allocated a peak of {peak / 1e6:.1f} MB"
+
+    def test_verify_batches_its_kernel_calls(self, monkeypatch, capsys):
+        # Whole-chunk score calls and one similarity call per query row:
+        # a per-trial or per-pair loop would make thousands.
+        calls = {"rope_score": 0, "sim": 0}
+        rotary_score, similarity = rotary.rope_score, attention.similarity_attention
+
+        def counted_score(*args):
+            calls["rope_score"] += 1
+            return rotary_score(*args)
+
+        def counted_attention(q, k, v, sim):
+            def counted_sim(q_m, keys):
+                calls["sim"] += 1
+                return sim(q_m, keys)
+            return similarity(q, k, v, counted_sim)
+
+        for module in (rotary, analysis):
+            monkeypatch.setattr(module, "rope_score", counted_score)
+        monkeypatch.setattr(attention, "similarity_attention", counted_attention)
+        assert cli.main(["verify", "--seed", "0", "--trials", "1000"]) == 0
+        capsys.readouterr()
+        assert 0 < calls["rope_score"] <= 60
+        assert 0 < calls["sim"] <= 170
 
     def test_verify_odd_dims_usage_error(self, capsys):
         assert run_cli("verify", "--dims", "3") == 2
@@ -85,6 +109,21 @@ class TestDecayCommand:
         assert run_cli("decay", "--dim", "4", "--max-dist", "10",
                        "--out", str(out_path)) == 0
         assert out_path.read_text().splitlines()[1] == "0,1.5"
+
+    def test_max_dist_99_gives_the_verdict(self, tmp_path, capsys):
+        out_path = tmp_path / "curve.csv"
+        assert run_cli("decay", "--dim", "128", "--max-dist", "99",
+                       "--out", str(out_path)) == 0
+        assert len(out_path.read_text().splitlines()) == 101  # header + 100 distances
+        printed = capsys.readouterr().out
+        assert "windowed means (width 25)" in printed and "skipped" not in printed
+
+    def test_max_dist_98_skips_the_verdict(self, tmp_path, capsys):
+        assert run_cli("decay", "--dim", "128", "--max-dist", "98",
+                       "--out", str(tmp_path / "curve.csv")) == 0
+        printed = capsys.readouterr().out
+        assert "windowed-decay verdict needs --max-dist >= 99; skipped" in printed
+        assert "windowed means" not in printed
 
     def test_odd_dim_usage_error(self, tmp_path):
         assert run_cli("decay", "--dim", "5", "--out", str(tmp_path / "x.csv")) == 2

@@ -76,6 +76,29 @@ class TestRng:
         with pytest.raises(ConfigurationError):
             rng.randint(0)
 
+    @pytest.mark.parametrize("n", [1, 513, 2**40 + 3, 2**63])
+    def test_randint_array_equals_scalar_draws(self, n):
+        array_rng, scalar_rng = Rng(2104), Rng(2104)
+        draws = array_rng.randint_array(n, 300)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [scalar_rng.randint(n) for _ in range(300)]
+        assert array_rng.state == scalar_rng.state
+
+    def test_randint_array_size_zero_keeps_state(self):
+        rng = Rng(3)
+        before = rng.state
+        draws = rng.randint_array(513, 0)
+        assert draws.shape == (0,) and draws.dtype == np.int64
+        assert rng.state == before
+
+    @pytest.mark.parametrize("n, size", [(0, 4), (-5, 4), (2**63 + 1, 4), (2**64, 4), (513, -1)])
+    def test_randint_array_bad_arguments_keep_state(self, n, size):
+        rng = Rng(3)
+        before = rng.state
+        with pytest.raises(ConfigurationError):
+            rng.randint_array(n, size)
+        assert rng.state == before
+
     def test_state_roundtrip_resumes_stream(self):
         rng = Rng(9)
         [rng.next_u64() for _ in range(10)]

@@ -55,7 +55,7 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             RotaryEncoder(dim)
 
-    @pytest.mark.parametrize("thetas", [[], [1.0], [1.0, 0.1, 0.01], [[1.0, 0.1]]])
+    @pytest.mark.parametrize("thetas", [[], [1.0], [1.0, 0.1, 0.01], [[1.0, 0.1, 0.01]]])
     def test_wrong_length_thetas_rejected(self, thetas):
         with pytest.raises(ConfigurationError):
             RotaryEncoder(4, thetas)
@@ -73,6 +73,48 @@ class TestSchedule:
         for thetas in (enc.thetas, RotaryEncoder(4).thetas):
             with pytest.raises(ValueError):
                 thetas[0] = 2.0
+
+
+class TestThetaSets:
+    """Theta of shape (..., dim/2): one rotation per set, in one call."""
+
+    THETAS = np.array([0.1, 0.77, 1.3, 2.0, 0.1 + 1.9 * 0.999])
+
+    def test_dense_matrix_stacks_single_set_calls(self):
+        positions = np.arange(17)
+        stacked = dense_rotation_matrix(RotaryEncoder(2, self.THETAS[:, None]), positions)
+        assert stacked.shape == (17, len(self.THETAS), 2, 2)
+        for t, theta in enumerate(self.THETAS):
+            single = dense_rotation_matrix(RotaryEncoder(2, [theta]), positions)
+            assert stacked[:, t].tobytes() == single.tobytes()
+
+    def test_rope_score_stacks_single_set_calls(self):
+        rng = Rng(41)
+        q, k = rng.normal_array((len(self.THETAS), 2)), rng.normal_array((len(self.THETAS), 2))
+        grid = np.arange(0, 9, 2)
+        enc = RotaryEncoder(2, self.THETAS[:, None])
+        scores = rope_score(q, k, grid[:, None], grid, enc)
+        assert scores.shape == (5, 5, len(self.THETAS))
+        for t, theta in enumerate(self.THETAS):
+            single = rope_score(q[t], k[t], grid[:, None], grid, RotaryEncoder(2, [theta]))
+            assert scores[..., t].tobytes() == single.tobytes()
+
+    def test_rotating_rows_needs_one_set(self):
+        enc = RotaryEncoder(4, [[1.0, 0.1], [0.5, 0.05]])
+        x = np.ones((3, 4))
+        with pytest.raises(ConfigurationError):
+            apply_rotary(enc, x, 1)
+        with pytest.raises(ConfigurationError):
+            apply_rotary_rows(enc, x)
+        with pytest.raises(ConfigurationError):
+            apply_rotary_rows(enc, Tensor(x))
+        with pytest.raises(ConfigurationError):
+            enc.rows(3)
+
+    @pytest.mark.parametrize("thetas", [[[1.0, math.nan]], [[1.0], [0.5]], np.ones((2, 3, 1))])
+    def test_bad_sets_rejected(self, thetas):
+        with pytest.raises(ConfigurationError):
+            RotaryEncoder(4, thetas)
 
 
 class TestEncoderTables:
