@@ -77,11 +77,8 @@ def decay_curve(dim: int, max_distance: int) -> DecayCurve:
         raise ConfigurationError(f"max_distance must be >= 0, got {max_distance}")
     thetas = RotaryEncoder(dim).thetas
     distances = np.arange(max_distance + 1)
-    values = np.empty(max_distance + 1, dtype=np.float64)
-    for r in distances:
-        phases = np.exp(1j * r * thetas)
-        partial = np.cumsum(phases)
-        values[r] = np.abs(partial).mean()
+    phases = np.exp(1j * np.multiply.outer(distances, thetas))
+    values = np.abs(np.cumsum(phases, axis=-1)).mean(axis=-1)
     return DecayCurve(distances=distances, values=values)
 
 

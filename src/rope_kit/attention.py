@@ -8,9 +8,9 @@ encodings are injected upstream of the projections.
 Softmax attention scores its queries in blocks of 64 rows; a causal
 block reads only the keys up to its last row, so the masked half of the
 (seq, seq) scores is never computed, and no (seq, seq) array is built in
-the forward or the backward. A clipped relative bias (causal calls only)
-enters each block as the band of offsets next to the diagonal, placed by
-one pad-and-reshape skew and gathered back from dS by its reverse.
+the forward or the backward. A relative bias (causal calls only) is a
+band of offsets next to the diagonal; each block places it by one
+pad-and-reshape skew and gathers it back from dS by its reverse.
 
 The linear variants are evaluated with the associative regrouping (keys
 are summed against values first), giving cost linear in sequence length;
@@ -90,17 +90,6 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _band_mix(r_min: int, r_max: int, dtype) -> np.ndarray:
-    """(W, R) map whose row j, offset j < r_max, picks bucket clip(j) less the
-    far bucket R - 1: bucket_scores @ mix.T is the band's bias less its row's
-    far-bucket score, and dS_band @ mix the gradient of that."""
-    offsets = np.arange(r_max)
-    mix = np.zeros((offsets.size, r_max - r_min + 1), dtype)
-    mix[np.arange(offsets.size), np.clip(offsets, r_min, r_max) - r_min] = 1
-    mix[:, -1] -= 1
-    return mix
-
-
 def _skewed(buffer: np.ndarray, r0: int) -> np.ndarray:
     """The memory of a (..., rows, rows + W) buffer read as (..., rows,
     rows + W - 1), so that cell (i, c < W) lands in column i + c, aligned
@@ -112,42 +101,37 @@ def _skewed(buffer: np.ndarray, r0: int) -> np.ndarray:
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                      relative: tuple[Tensor, int] | None = None) -> Tensor:
+                      relative: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention with row-normalized weights, one tape op.
 
-    ``relative = (bucket_scores, r_min)``, bucket_scores of shape
-    (..., seq, R), adds a clipped relative bias to the raw q.k scores
-    before 1/sqrt(d) scaling, d being q's last axis: score (m, n) gains
-    bucket_scores[..., m, clip(m - n, r_min, r_max) - r_min], with
-    r_max = r_min + R - 1. Shaw et al. (2018)'s key term is the case
-    bucket_scores = q E^T (:func:`shaw_score_bias`). It needs
-    ``causal=True``; a non-causal call with it raises
-    ``ConfigurationError``. Causal masking excludes keys after the query
-    position. Rotary encoding is applied to q and k by the caller.
+    ``relative``, of shape (..., seq, W), adds a causal relative bias to
+    the raw q.k scores before 1/sqrt(d) scaling, d being q's last axis:
+    score (m, n) gains relative[..., m, m - n] for 0 <= m - n < W, and
+    nothing further back. Shaw et al. (2018)'s key term is the case
+    :func:`shaw_score_bias`. It needs ``causal=True``; a non-causal call
+    with it raises ``ConfigurationError``. Causal masking excludes keys
+    after the query position. Rotary encoding is applied to q and k by
+    the caller.
 
     The queries are taken in blocks of 64 rows, as in FlashAttention (Dao
     et al. 2022) but without its online softmax: block [r0, r1) scores
     keys [0, r1) when causal and every key otherwise, so the masked half
     is never computed. Each block's scores, softmax and normalisation
     are computed in place and become its probabilities P; only the
-    diagonal block is masked. Non-finite scores or bucket scores raise
+    diagonal block is masked. Non-finite scores or relative biases raise
     ``NumericError``; future positions of a causal call are never scored,
     so only the scores that enter the softmax are checked.
 
-    Keys at m - n >= r_max all take row m's far bucket, a per-row constant
-    that the softmax cancels, so the op adds the bias less that constant:
-    only the band 0 <= m - n < r_max, W = max(r_max, 0) offsets wide, placed
-    with Music Transformer's skew (Huang et al. 2018): each block's
-    (rows, W) band, columns reversed, fills the first W columns of a zeroed
-    (rows, rows + W) buffer whose memory, read as (rows, rows + W - 1),
-    holds row i's band from column i on, aligned with the block's last
-    rows + W - 1 keys; the columns before key 0 are trimmed.
-    The backward keeps only the P blocks and runs, per block,
+    Each block places its (rows, W) band with Music Transformer's skew
+    (Huang et al. 2018): the band, columns reversed, fills the first W
+    columns of a zeroed (rows, rows + W) buffer whose memory, read as
+    (rows, rows + W - 1), holds row i's band from column i on, aligned
+    with the block's last rows + W - 1 keys; the columns before key 0 are
+    trimmed. The backward keeps only the P blocks and runs, per block,
     dP = G V^T, dV = P^T G, dS = P * (dP - rowsum(dP * P)) / sqrt(d),
     dQ = dS K, dK = (Q^T dS)^T, summing dK and dV into their key
-    prefixes; the same skew read backwards gathers the band of dS into
-    the bucket gradient, the far bucket taking minus the rest of its row,
-    the exact derivative of the function computed. No (seq, seq) array is
+    prefixes; the same skew read backwards gathers the band of dS, and
+    its columns reversed are the band's gradient. No (seq, seq) array is
     built. With seq <= 64 there is one block and the op is the unblocked
     computation, bit for bit.
     """
@@ -155,18 +139,17 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     seq = _check_qkv(q, k, v)
     parents = (q, k, v)
     if relative is not None:
-        bucket_scores, r_min = _as_tensor(relative[0]), relative[1]
-        rel = bucket_scores.data
+        relative = _as_tensor(relative)
+        rel = relative.data
         if rel.shape[:-1] != q.data.shape[:-1] or rel.shape[-1] < 1:
             raise DimensionError(
-                f"bucket scores shape {rel.shape} is not {q.data.shape[:-1]} + (buckets,)"
+                f"relative band shape {rel.shape} is not {q.data.shape[:-1]} + (width,)"
             )
         if not causal:
             raise ConfigurationError("softmax_attention takes a relative bias only when causal")
-        _check_finite(rel, "softmax_attention bucket scores")
-        parents += (bucket_scores,)
-        mix = _band_mix(r_min, r_min + rel.shape[-1] - 1, rel.dtype)
-        band = mix.shape[0]
+        _check_finite(rel, "softmax_attention relative band")
+        parents += (relative,)
+        band = rel.shape[-1]
     scale = 1.0 / math.sqrt(q.data.shape[-1])
     out = np.empty(q.data.shape[:-1] + v.data.shape[-1:], np.result_type(q.data, k.data, v.data))
     blocks = []
@@ -177,7 +160,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             probs = q.data[..., r0:r1, :] @ _swap(k.data[..., :keys, :])
             if relative is not None:
                 skew = np.zeros(rel.shape[:-2] + (r1 - r0, r1 - r0 + band), rel.dtype)
-                skew[..., :band] = (rel[..., r0:r1, :] @ mix.T)[..., ::-1]
+                skew[..., :band] = rel[..., r0:r1, ::-1]
                 probs[..., max(r0 - band + 1, 0):] += _skewed(skew, r0)
             probs *= scale
         _check_finite(probs, "softmax_attention scores")
@@ -212,28 +195,39 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             if d_rel is not None:
                 skew = np.zeros(d_scores.shape[:-1] + (r1 - r0 + band,), d_scores.dtype)
                 _skewed(skew, r0)[...] = d_scores[..., max(r0 - band + 1, 0):]
-                np.matmul(np.ascontiguousarray(skew[..., :band][..., ::-1]),
-                          mix.astype(skew.dtype, copy=False), out=d_rel[..., r0:r1, :])
+                d_rel[..., r0:r1, :] = skew[..., :band][..., ::-1]
         return (d_q, d_k, d_v) if d_rel is None else (d_q, d_k, d_v, d_rel)
 
     return tape_op(out, parents, grad_fn, name="softmax_attention")
 
 
 def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
-    """(..., seq, R) bucket scores q_m . e_r for :func:`softmax_attention`'s
-    ``relative``: Shaw et al. (2018)'s key term, one product of q with the
-    R key embeddings; gq = g E and gE = g^T q. No (seq, seq) array is built.
+    """(..., seq, radius) band q_m . (e_j - e_radius), j < radius, for
+    :func:`softmax_attention`'s ``relative``: Shaw et al. (2018)'s key
+    term over shaw's rows e_0..e_radius.
+
+    Shaw's bias is q_m . e[min(m - n, radius)], so every key at
+    m - n >= radius gets q_m . e_radius. Taking that per-row constant off
+    all of row m's scores changes no softmax weight, and it leaves this
+    band at offsets below radius and 0 at every key beyond. The forward
+    is s = q E^T, then s[..., :-1] - s[..., -1:]; the backward takes
+    dS = [g, -sum_j g_j], gq = dS E and gE = dS^T q. No (seq, seq) array
+    is built.
     """
     q = _as_tensor(q)
     dim = q.data.shape[-1]
     if dim != shaw.dim:
         raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.dim}")
     emb = shaw.key_embeddings.tensor
+    scores = q.data @ emb.data.T
 
     def grad_fn(g):
-        return g @ emb.data, g.reshape(-1, g.shape[-1]).T @ q.data.reshape(-1, dim)
+        d_scores = np.concatenate([g, -g.sum(axis=-1, keepdims=True)], axis=-1)
+        return (d_scores @ emb.data,
+                d_scores.reshape(-1, d_scores.shape[-1]).T @ q.data.reshape(-1, dim))
 
-    return tape_op(q.data @ emb.data.T, (q, emb), grad_fn, name="shaw_score_bias")
+    return tape_op(scores[..., :-1] - scores[..., -1:], (q, emb), grad_fn,
+                   name="shaw_score_bias")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reference position encodings the rotary scheme is compared against.
 
 Three baselines: the fixed sinusoidal table, a trainable absolute
-embedding table, and clipped-relative key embeddings. The additive ones
+embedding table, and clipped-relative key embeddings for causal
+attention (one row per offset 0..radius). The additive ones
 share a tiny protocol (``rows(seq)``) so injection into a sequence is one
 call regardless of variant.
 """
@@ -18,7 +19,6 @@ __all__ = [
     "SinusoidalTable",
     "LearnedAbsolute",
     "ShawRelative",
-    "shaw_clip",
     "additive_inject",
 ]
 
@@ -80,42 +80,25 @@ class LearnedAbsolute:
         return take_rows(self.embeddings.tensor, np.arange(seq))
 
 
-def shaw_clip(m: int, n: int, r_min: int, r_max: int) -> int:
-    """Relative distance m - n clipped into [r_min, r_max]."""
-    if r_min > r_max:
-        raise ConfigurationError(f"r_min {r_min} > r_max {r_max}")
-    return max(r_min, min(r_max, m - n))
-
-
 class ShawRelative:
     """Trainable key-space embeddings indexed by clipped relative distance.
 
     Only the key path is kept: the score between positions m and n gains
-    the term q_m . e[clip(m - n)] before scaling. The value-path term is
-    deliberately dropped (see the attention layer).
+    the term q_m . e[min(m - n, radius)] before scaling. The value-path
+    term is deliberately dropped (see the attention layer). The model is
+    causal, so m - n >= 0 and only the offsets 0..radius have rows, as in
+    Music Transformer (Huang et al. 2018): row j < radius serves offset j,
+    and row radius every offset >= radius.
     """
 
-    def __init__(self, r_min: int, r_max: int, dim: int, rng: Rng,
+    def __init__(self, radius: int, dim: int, rng: Rng,
                  scale: float = 0.02, dtype=np.float64):
-        if r_min > r_max:
-            raise ConfigurationError(f"r_min {r_min} > r_max {r_max}")
-        self.r_min = r_min
-        self.r_max = r_max
+        if radius < 1:
+            raise ConfigurationError(f"clip radius must be >= 1, got {radius}")
         self.dim = dim
         self.key_embeddings = Parameter(
-            "pos_shaw",
-            rng.normal_array((r_max - r_min + 1, dim), scale=scale),
-            dtype=dtype,
+            "pos_shaw", rng.normal_array((radius + 1, dim), scale=scale), dtype=dtype
         )
-
-    def clip(self, m: int, n: int) -> int:
-        return shaw_clip(m, n, self.r_min, self.r_max)
-
-    def index_matrix(self, seq: int) -> np.ndarray:
-        """(seq, seq) embedding-row indices for every (query, key) pair."""
-        m = np.arange(seq)[:, None]
-        n = np.arange(seq)[None, :]
-        return np.clip(m - n, self.r_min, self.r_max) - self.r_min
 
 
 def additive_inject(x: Tensor, encoding) -> Tensor:

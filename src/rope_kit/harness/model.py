@@ -116,7 +116,7 @@ class ByteLM:
                                            scale=INIT_SCALE, dtype=self.dtype)
             self.params.append(self.learned.embeddings)
         elif config.pos_encoding == "shaw":
-            self.shaw = ShawRelative(-SHAW_CLIP_RADIUS, SHAW_CLIP_RADIUS, hd, rng,
+            self.shaw = ShawRelative(SHAW_CLIP_RADIUS, hd, rng,
                                      scale=INIT_SCALE, dtype=self.dtype)
             self.params.append(self.shaw.key_embeddings)
         for i in range(config.layers):
@@ -190,7 +190,7 @@ class ByteLM:
                 k = apply_rotary_rows(self.rotary, k)
             relative = None
             if self.shaw is not None:
-                relative = (shaw_score_bias(q, self.shaw), self.shaw.r_min)
+                relative = shaw_score_bias(q, self.shaw)
             return softmax_attention(q, k, v, causal=True, relative=relative)
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:

@@ -122,6 +122,8 @@ def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
         raise DataError(
             f"checkpoint directory not found: {checkpoint_dir} (for {config.checkpoint_path})"
         )
+    if os.path.isdir(config.checkpoint_path):
+        raise DataError(f"checkpoint path is a directory: {config.checkpoint_path}")
     metrics: list[tuple[int, float]] = []
     seq = model.config.context_len
     append = start_step > 0 and os.path.exists(config.metrics_path)

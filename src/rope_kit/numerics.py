@@ -138,6 +138,8 @@ class Rng:
         """
         if not np.iterable(shape):
             shape = (shape,)
+        if any(n < 0 for n in shape):
+            raise ConfigurationError(f"normal_array shape {tuple(shape)} has a negative dimension")
         size = int(math.prod(shape))
         z = self._u64_block(2 * size)
         z >>= _U64_11

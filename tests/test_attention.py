@@ -48,29 +48,29 @@ def rand_qkv(rng, seq, dim):
 CHUNK_SEQS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
 
 
-def dense_relative_bias(bucket_scores, r_min, band=False):
-    """The (..., seq, seq) bias of (..., seq, R) bucket scores, gathered
-    with tape ops.
-
-    With ``band`` each row's far-bucket score (the last) is subtracted, as
-    softmax_attention does: its arithmetic, entry for entry.
+def dense_relative_bias(relative):
+    """The (..., seq, seq) bias of a (..., seq, W) relative band, gathered
+    with tape ops: entry (m, n) is relative[..., m, m - n] for
+    0 <= m - n < W and 0 elsewhere, softmax_attention's arithmetic, entry
+    for entry.
     """
-    shape = bucket_scores.data.shape
-    seq, buckets = shape[-2:]
+    shape = relative.data.shape
+    seq, width = shape[-2:]
     offsets = np.subtract.outer(np.arange(seq), np.arange(seq))
-    index = np.clip(offsets, r_min, r_min + buckets - 1) - r_min
-    rows = np.arange(bucket_scores.data.size // buckets).reshape(shape[:-1] + (1,)) * buckets
-    flat = reshape(bucket_scores, (bucket_scores.data.size, 1))
+    index = np.clip(offsets, 0, width - 1)
+    rows = np.arange(relative.data.size // width).reshape(shape[:-1] + (1,)) * width
+    flat = reshape(relative, (relative.data.size, 1))
     bias = reshape(take_rows(flat, rows + index), shape[:-1] + (seq,))
-    if band:
-        bias = bias - reshape(take_rows(flat, rows + buckets - 1), shape[:-1] + (1,))
-    return bias
+    return bias * ((offsets >= 0) & (offsets < width)).astype(relative.data.dtype)
 
 
-def shaw_reference_bias(q, rel):
-    """(..., seq, seq) Shaw bias q_m . e[clip(m - n)] from a (seq, seq, d) gather."""
+def shaw_reference_bias(q, table, r_min):
+    """(..., seq, seq) Shaw bias q_m . e[clip(m - n, r_min, r_max)] from a
+    (seq, seq, d) gather of a table with one row per offset r_min..r_max."""
     seq, dim = q.data.shape[-2:]
-    embeddings = take_rows(rel.key_embeddings.tensor, rel.index_matrix(seq))
+    offsets = np.subtract.outer(np.arange(seq), np.arange(seq))
+    index = np.clip(offsets, r_min, r_min + table.data.shape[0] - 1) - r_min
+    embeddings = take_rows(table, index)
     rows = reshape(q, q.data.shape[:-1] + (1, dim))
     return reshape(matmul(rows, transpose(embeddings)), q.data.shape[:-1] + (seq,))
 
@@ -179,15 +179,14 @@ class TestSoftmaxAttention:
     @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "bias"])
     def test_gradient_with_bias(self, target, causal):
-        # T = 67 rows in two heads, with the bucket scores of a clipped
-        # relative bias over offsets -16..16.
+        # T = 67 rows in two heads, with a relative band over offsets 0..15.
         rng = Rng(90)
         params = {n: Parameter(n, rng.normal_array((2, 67, 4))) for n in "qkv"}
-        params["bias"] = Parameter("bias", rng.normal_array((2, 67, 33)))
+        params["bias"] = Parameter("bias", rng.normal_array((2, 67, 16)))
 
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
-            out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
+            out = softmax_attention(q, k, v, causal=causal, relative=bias)
             return tensor_sum(out * out)
 
         assert grad_check(f, [params[target]], Rng(91), samples=12) < 1e-6
@@ -196,11 +195,9 @@ class TestSoftmaxAttention:
     @KERNEL_CASES
     def test_matches_composed_tape_ops_bit_for_bit(self, with_bias, causal, dtype):
         # The fused op is the old chain of six tape ops, reordered in place.
-        # The composed chain adds the dense form of the clipped relative bias
-        # (offsets -3..2) less each row's far-bucket score, as the fused op
-        # does. The bucket-score
-        # gradient is a row reduction summed in another order than the tape
-        # chain's, so it is held to 16 ulps of its largest entry instead.
+        # The composed chain adds the dense form of a relative band over
+        # offsets 0..5. The band's gradient is held to 16 ulps of its
+        # largest entry.
         rng = Rng(93)
         arrays = [rng.normal_array((2, 2, 19, 8)) for _ in range(3)]
         arrays.append(rng.normal_array((2, 2, 19, 6)))
@@ -210,10 +207,10 @@ class TestSoftmaxAttention:
                                                                   arrays[:3 + with_bias])]
             q, k, v = (p.tensor for p in params[:3])
             if fused:
-                relative = (params[3].tensor, -3) if with_bias else None
+                relative = params[3].tensor if with_bias else None
                 out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
-                bias = dense_relative_bias(params[3].tensor, -3, band=True) if with_bias else None
+                bias = dense_relative_bias(params[3].tensor) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
@@ -230,41 +227,41 @@ class TestSoftmaxAttention:
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_overflowing_scores_raise_without_warning(self, with_bias):
         # q.k overflows in the product itself, or only once the bias is
-        # added: offset 0's bucket score on the diagonal, the far bucket 0.
+        # added: offset 0's band score on the diagonal.
         size = 5e153 if with_bias else 1e200
         q = Tensor(np.full((3, 4), size))
-        relative = (Tensor(np.tile([1.7e308, 0.0], (3, 1))), 0) if with_bias else None
+        relative = Tensor(np.full((3, 1), 1.7e308)) if with_bias else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="softmax_attention"):
                 softmax_attention(q, q, Tensor(np.ones((3, 4))), causal=True, relative=relative)
 
     def test_bias_that_does_not_broadcast(self):
-        # Bucket scores are q's shape but for R >= 1 in the last axis.
+        # A relative band is q's shape but for W >= 1 in the last axis.
         q = Tensor(np.ones((3, 4)))
         for shape in [(2, 3, 3), (1, 3, 3), (4, 3), (3,), (3, 0)]:
-            with pytest.raises(DimensionError, match="bucket scores"):
-                softmax_attention(q, q, q, relative=(Tensor(np.ones(shape)), -1))
+            with pytest.raises(DimensionError, match="relative band"):
+                softmax_attention(q, q, q, relative=Tensor(np.ones(shape)))
 
     def test_relative_bias_needs_causal(self):
         # Raised before any scoring: q.k would overflow.
         q = Tensor(np.full((3, 4), 1e200))
-        relative = (Tensor(np.ones((3, 5))), -2)
+        relative = Tensor(np.ones((3, 5)))
         with pytest.raises(ConfigurationError, match="causal"):
             softmax_attention(q, q, q, relative=relative)
 
     @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
     def test_memory_peak_at_long_context(self, with_bias):
         # A (seq, seq) array is 2 MB here. The tape keeps only the causal
-        # P blocks (56% of one); a clipped relative bias (offsets -16..16)
-        # adds (seq, 33) bucket scores and builds no (seq, seq) array.
+        # P blocks (56% of one); a relative band over offsets 0..15 adds a
+        # (seq, 16) array and builds no (seq, seq) one.
         rng = Rng(92)
         params = [Parameter(n, rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
                   for n in "qkv"]
         relative = None
         if with_bias:
-            buckets = Parameter("bias", rng.normal_array((1, 2, 512, 33)), dtype=np.float32)
-            relative = (buckets.tensor, -16)
+            relative = Parameter("bias", rng.normal_array((1, 2, 512, 16)),
+                                 dtype=np.float32).tensor
         tracemalloc.start()
         try:
             out = softmax_attention(*(p.tensor for p in params), causal=True, relative=relative)
@@ -284,23 +281,21 @@ class TestQueryBlocks:
     def test_matches_composed_tape_ops(self, with_bias, causal, seq):
         # One block is the unblocked op, bit for bit; more blocks only
         # regroup sums. Two heads; the composed chain adds the dense form of
-        # a clipped relative bias (offsets -16..16) less each row's
-        # far-bucket score, as the fused op does, and the bucket-score
-        # gradient, a row reduction in another order, is held to the
-        # multi-block tolerance.
+        # a relative band over offsets 0..15, and the band's gradient is
+        # held to the multi-block tolerance.
         rng = Rng(100 + seq)
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
         if with_bias:
-            arrays.append(rng.normal_array((2, seq, 33)))
+            arrays.append(rng.normal_array((2, seq, 16)))
 
         def run(fused):
             params = [Parameter(n, a) for n, a in zip(("q", "k", "v", "bias"), arrays)]
             q, k, v = (p.tensor for p in params[:3])
             if fused:
-                relative = (params[3].tensor, -16) if with_bias else None
+                relative = params[3].tensor if with_bias else None
                 out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
-                bias = dense_relative_bias(params[3].tensor, -16, band=True) if with_bias else None
+                bias = dense_relative_bias(params[3].tensor) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
@@ -317,11 +312,11 @@ class TestQueryBlocks:
         seq = 2 * _CHUNK + 3
         rng = Rng(110)
         params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
-        params["bias"] = Parameter("bias", rng.normal_array((2, seq, 33)))
+        params["bias"] = Parameter("bias", rng.normal_array((2, seq, 16)))
 
         def f():
             q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
-            out = softmax_attention(q, k, v, causal=causal, relative=(bias, -16))
+            out = softmax_attention(q, k, v, causal=causal, relative=bias)
             return tensor_sum(out * out)
 
         assert grad_check(f, [params[target]], Rng(111), samples=24) < 1e-6
@@ -350,16 +345,18 @@ class TestQueryBlocks:
                 softmax_attention(Tensor(q), Tensor(k), Tensor(np.ones((seq, 4))), causal=True)
 
     def test_bucket_score_overflow_in_a_later_block_raises(self):
-        # Only query row _CHUNK + 5 has band scores that overflow once its
-        # far-bucket score (offsets >= 16) is taken off.
+        # Only query row _CHUNK + 5 has a score that overflows, and only
+        # once its band score is added: q.q on the diagonal is 1.69e308.
         seq = 2 * _CHUNK + 3
-        q = Tensor(np.ones((seq, 4)))
-        buckets = np.zeros((seq, 33))
-        buckets[_CHUNK + 5, 16:] = [1.7e308] * 16 + [-1.7e308]
+        q = np.ones((seq, 4))
+        q[_CHUNK + 5] = 6.5e153
+        band = np.zeros((seq, 16))
+        band[_CHUNK + 5, 0] = 1.7e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="softmax_attention scores"):
-                softmax_attention(q, q, q, causal=True, relative=(Tensor(buckets), -16))
+                softmax_attention(Tensor(q), Tensor(q), Tensor(q), causal=True,
+                                  relative=Tensor(band))
 
     def test_masked_scores_are_never_computed(self):
         # q_0 . k_100 overflows, but key 100 comes after query 0: a causal
@@ -385,39 +382,45 @@ def test_causal_mask_is_one_read_only_memo():
 
 
 class TestShawBias:
-    """Shaw et al. (2018)'s key term: bucket scores q E^T into softmax_attention."""
+    """Shaw et al. (2018)'s key term: the band q (e_j - e_radius) into softmax_attention."""
 
     @staticmethod
     def weights_without_keys(q, rel):
         # With k = 0 the scores are the bias alone, so the weights of row m
         # are the softmax of the bias / sqrt(d) the op added to keys n <= m.
-        relative = (shaw_score_bias(Tensor(q), rel), rel.r_min)
+        relative = shaw_score_bias(Tensor(q), rel)
         return attention_weights(Tensor(q), Tensor(np.zeros(q.shape)), True, relative)
 
     @staticmethod
-    def causal_softmax(bias, m):
-        # Row m's weights over every key: the softmax of keys n <= m, then 0.
-        return np.concatenate([softmax_vec(bias[:m + 1]), np.zeros(len(bias) - m - 1)])
+    def causal_softmax(bias, seq):
+        # Row m's weights over every key, from the biases of keys n <= m:
+        # their softmax, then 0 for the seq - m - 1 later keys.
+        return np.concatenate([softmax_vec(bias), np.zeros(seq - len(bias))])
+
+    @staticmethod
+    def textbook_bias(q_m, rel, m):
+        # q_m . e[min(m - n, radius)] for the keys n <= m.
+        table = rel.key_embeddings.data
+        return np.array([q_m @ table[min(m - n, len(table) - 1)] for n in range(m + 1)])
 
     def test_bias_matches_manual_loop(self):
         rng = Rng(10)
-        rel = ShawRelative(-3, 3, 4, rng, scale=1.0)
+        rel = ShawRelative(3, 4, rng, scale=1.0)
         q = rng.normal_array((5, 4))
         weights = self.weights_without_keys(q, rel)
         for m in range(5):
-            bias = [q[m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min] for n in range(5)]
-            expected = self.causal_softmax(np.array(bias) / 2.0, m)
+            expected = self.causal_softmax(self.textbook_bias(q[m], rel, m) / 2.0, 5)
             for n in range(5):
                 assert abs(weights[m, n] - expected[n]) < 1e-12
 
     def test_gradients_flow_to_embeddings(self):
         rng = Rng(11)
-        rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
+        rel = ShawRelative(2, 4, rng, scale=1.0)
         q = Parameter("q", rng.normal_array((4, 4)))
         v = Tensor(rng.normal_array((4, 4)))
 
         def f():
-            relative = (shaw_score_bias(q.tensor, rel), rel.r_min)
+            relative = shaw_score_bias(q.tensor, rel)
             out = softmax_attention(q.tensor, q.tensor, v, causal=True, relative=relative)
             return tensor_sum(out * out)
 
@@ -425,27 +428,26 @@ class TestShawBias:
         assert err < 1e-6
 
     def test_batched_heads_match_manual_loop(self):
-        # seq 9 with clip radius 2: both clipped end buckets and every
-        # interior bucket occur, and in rows near the ends some are absent.
+        # seq 9 with clip radius 2: the clipped far row and every nearer
+        # row occur, and in the first rows some are absent.
         rng = Rng(40)
-        rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
+        rel = ShawRelative(2, 4, rng, scale=1.0)
         q = rng.normal_array((2, 2, 9, 4))
         weights = self.weights_without_keys(q, rel)
         assert weights.shape == (2, 2, 9, 9)
         for b in range(2):
             for h in range(2):
                 for m in range(9):
-                    bias = [q[b, h, m] @ rel.key_embeddings.data[rel.clip(m, n) - rel.r_min]
-                            for n in range(9)]
-                    expected = self.causal_softmax(np.array(bias) / 2.0, m)
+                    bias = self.textbook_bias(q[b, h, m], rel, m)
+                    expected = self.causal_softmax(bias / 2.0, 9)
                     for n in range(9):
                         assert abs(weights[b, h, m, n] - expected[n]) < 1e-12
 
     def test_batched_heads_gradient(self):
         rng = Rng(41)
-        rel = ShawRelative(-2, 2, 4, rng, scale=1.0)
+        rel = ShawRelative(2, 4, rng, scale=1.0)
         q = Parameter("q", rng.normal_array((2, 2, 9, 4)))
-        w = Tensor(rng.normal_array((2, 2, 9, 5)))
+        w = Tensor(rng.normal_array((2, 2, 9, 2)))
 
         def f():
             return tensor_sum(shaw_score_bias(q.tensor, rel) * w)
@@ -454,15 +456,15 @@ class TestShawBias:
         assert err < 1e-6
 
     def test_dim_mismatch_rejected(self):
-        rel = ShawRelative(-2, 2, 4, Rng(43))
+        rel = ShawRelative(2, 4, Rng(43))
         with pytest.raises(DimensionError):
             shaw_score_bias(Tensor(np.zeros((3, 6))), rel)
 
     def test_memory_peak_at_long_context(self):
-        # The 33 bucket scores per query are all the op builds: never a
+        # The 17 scores per query are all the op builds: never a
         # (seq, seq) bias (1 MB here) nor a (seq, seq, dim) gather (32 MB).
         rng = Rng(44)
-        rel = ShawRelative(-16, 16, 32, rng, dtype=np.float32)
+        rel = ShawRelative(16, 32, rng, dtype=np.float32)
         q = Parameter("q", rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
         tracemalloc.start()
         try:
@@ -473,55 +475,56 @@ class TestShawBias:
         assert q.gradient.shape == (1, 2, 512, 32)
         assert peak < 1 * 2**20
 
-    @pytest.mark.parametrize("clip", [(-16, 16), (-2, 2), (1, 4), (-5, -1), (0, 0), (-3, 100)],
+    @pytest.mark.parametrize("clip", [(-16, 16), (-2, 2), (-1, 1), (-3, 100)],
                              ids=lambda c: f"{c[0]}..{c[1]}")
     @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("seq", CHUNK_SEQS)
     def test_matches_dense_reference(self, seq, causal, clip):
-        # The reference builds the full Shaw bias from a (seq, seq, d) gather
-        # of the embeddings and feeds it to the composed chain. With clip
-        # (-3, 100) the band is wider than a query block and reaches back
-        # before key 0 in the first two blocks.
+        # The reference builds Shaw's bias from a (seq, seq, d) gather of a
+        # table with one row per clipped offset r_min..radius and feeds it
+        # to the composed chain. Its rows for negative offsets are random
+        # and get exactly no gradient: a causal model never reads them. The
+        # rest of the table is ShawRelative(radius)'s. With radius 100 the
+        # band is wider than a query block and reaches back before key 0 in
+        # the first two blocks.
+        r_min, radius = clip
         rng = Rng(120 + seq)
-        rel = ShawRelative(*clip, 8, rng, scale=1.0)
+        rel = ShawRelative(radius, 8, rng, scale=1.0)
+        table = Parameter("table", np.concatenate([rng.normal_array((-r_min, 8)),
+                                                   rel.key_embeddings.data]))
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
 
         def run(fused):
-            params = [Parameter(n, a) for n, a in zip("qkv", arrays)] + [rel.key_embeddings]
-            rel.key_embeddings.zero_grad()
-            q, k, v = (p.tensor for p in params[:3])
+            params = [Parameter(n, a) for n, a in zip("qkv", arrays)]
+            q, k, v = (p.tensor for p in params)
             if fused:
-                relative = (shaw_score_bias(q, rel), rel.r_min)
-                out = softmax_attention(q, k, v, causal=causal, relative=relative)
+                out = softmax_attention(q, k, v, causal=causal, relative=shaw_score_bias(q, rel))
+                embeddings = rel.key_embeddings
             else:
-                out = composed_attention(q, k, v, causal, shaw_reference_bias(q, rel))
+                bias = shaw_reference_bias(q, table.tensor, r_min)
+                out = composed_attention(q, k, v, causal, bias)
+                embeddings = table
             tensor_sum(out * out).backward()
-            return [out.data] + [p.gradient for p in params]
+            return [out.data] + [p.gradient for p in params] + [embeddings.gradient]
 
         fused, reference = run(True), run(False)
-        for a, b in zip(fused[:4], reference[:4]):
+        assert not reference[4][:-r_min].any()
+        reference[4] = reference[4][-r_min:]
+        for a, b in zip(fused, reference):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-        if clip[0] == clip[1] or (causal and clip[1] <= 0):
-            # Every scored pair takes one bucket, a per-row constant that
-            # the softmax cancels: the embeddings' gradient is exactly 0,
-            # the reference's is rounding.
-            assert not fused[4].any()
-            assert np.abs(reference[4]).max() <= 1e-12 * np.abs(reference[1]).max()
-        else:
-            assert np.abs(fused[4] - reference[4]).max() <= 1e-12 * np.abs(reference[4]).max()
 
     @pytest.mark.parametrize("causal", [True], ids=["causal"])
     @pytest.mark.parametrize("target", ["q", "k", "v", "embeddings"])
     def test_gradient_across_blocks(self, target, causal):
         seq = 2 * _CHUNK + 3
         rng = Rng(130)
-        rel = ShawRelative(-16, 16, 4, rng, scale=1.0)
+        rel = ShawRelative(16, 4, rng, scale=1.0)
         params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
         params["embeddings"] = rel.key_embeddings
 
         def f():
             q, k, v = (params[n].tensor for n in "qkv")
-            relative = (shaw_score_bias(q, rel), rel.r_min)
+            relative = shaw_score_bias(q, rel)
             out = softmax_attention(q, k, v, causal=causal, relative=relative)
             return tensor_sum(out * out)
 

@@ -10,7 +10,6 @@ from rope_kit.baselines import (
     ShawRelative,
     SinusoidalTable,
     additive_inject,
-    shaw_clip,
     sinusoidal_encoding,
 )
 from rope_kit.errors import ConfigurationError, LengthError
@@ -82,37 +81,12 @@ class TestLearnedAbsolute:
 
 
 class TestShawClip:
-    def test_in_range(self):
-        assert shaw_clip(5, 5, -4, 4) == 0
-
-    def test_clip_above(self):
-        assert shaw_clip(12, 2, -4, 4) == 4
-
-    def test_clip_below(self):
-        assert shaw_clip(1, 10, -4, 4) == -4
-
-    def test_idempotent_and_image(self):
-        seen = set()
-        for m in range(0, 30):
-            for n in range(0, 30):
-                r = shaw_clip(m, n, -4, 4)
-                assert -4 <= r <= 4
-                assert shaw_clip(r, 0, -4, 4) == r
-                seen.add(r)
-        assert seen == set(range(-4, 5))
-
     def test_invalid_range(self):
-        with pytest.raises(ConfigurationError):
-            shaw_clip(0, 0, 3, -3)
-
-    def test_index_matrix(self):
-        rel = ShawRelative(-2, 2, 4, Rng(1))
-        index = rel.index_matrix(6)
-        assert index.shape == (6, 6)
-        assert index[0, 0] == 2  # distance 0 sits mid-table
-        assert index[5, 0] == 4  # clipped at r_max
-        assert index[0, 5] == 0  # clipped at r_min
-        assert index.min() >= 0 and index.max() < rel.key_embeddings.data.shape[0]
+        # The clip radius is the number of offsets the band holds before
+        # the shared far row; a causal band needs at least offset 0.
+        for radius in (0, -3):
+            with pytest.raises(ConfigurationError, match="radius"):
+                ShawRelative(radius, 4, Rng(1))
 
 
 class TestAdditiveInject:

@@ -236,6 +236,13 @@ class TestTrainCommand:
         assert "checkpoint directory not found" in capsys.readouterr().err
         assert not metrics.exists()
 
+    def test_directory_as_checkpoint_stops_before_step_one(self, tmp_path, small_corpus,
+                                                            capsys):
+        metrics = tmp_path / "m.csv"
+        assert train_tiny(small_corpus, metrics, tmp_path) == 2
+        assert "checkpoint path is a directory" in capsys.readouterr().err
+        assert not metrics.exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_is_a_usage_error(self, tmp_path, small_corpus, lr, capsys):
         metrics = tmp_path / "m.csv"

@@ -27,6 +27,7 @@ from rope_kit.harness import (
     train,
     train_from_scratch,
 )
+from rope_kit.harness.model import SHAW_CLIP_RADIUS
 from rope_kit.numerics import Rng, grad_check
 
 checkpoint_module = importlib.import_module("rope_kit.harness.checkpoint")
@@ -153,8 +154,20 @@ class TestBuildModel:
                          model.params, Rng(9), samples=60)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("precision", [32, 64])
+    def test_every_shaw_row_is_trained(self, precision):
+        # pos_shaw holds only the offsets a causal model scores, 0..16:
+        # every row gets a gradient on the first batch.
+        config = tiny_config(pos_encoding="shaw", context_len=64, precision=precision)
+        model = ByteLM(config, Rng(12))
+        tokens = Rng(13).randint_array(256, 65)[None, :]
+        model.loss(tokens[:, :-1], tokens[:, 1:]).backward()
+        gradient = model.by_name["pos_shaw"].gradient
+        assert gradient.shape == (SHAW_CLIP_RADIUS + 1, config.head_dim)
+        assert np.abs(gradient).max(axis=1).all()
+
     def test_shaw_memory_peak_matches_no_bias(self):
-        # The clipped relative bias adds (seq, 33) bucket scores per head,
+        # The clipped relative bias adds a (seq, 16) band per head,
         # never a (seq, seq) array: at ctx512 its loss and backward peak
         # within 1 MB of the same model without a position encoding.
         rng = Rng(10)

@@ -99,6 +99,14 @@ class TestRng:
             rng.randint_array(n, size)
         assert rng.state == before
 
+    @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4])
+    def test_normal_array_negative_dimension_keeps_state(self, shape):
+        rng = Rng(3)
+        before = rng.state
+        with pytest.raises(ConfigurationError):
+            rng.normal_array(shape)
+        assert rng.state == before
+
     def test_state_roundtrip_resumes_stream(self):
         rng = Rng(9)
         [rng.next_u64() for _ in range(10)]
