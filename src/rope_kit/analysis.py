@@ -26,6 +26,7 @@ from .rotary import RotaryEncoder, dense_rotation_matrix, rope_score
 
 __all__ = [
     "DecayCurve",
+    "DISTANCE_CHUNK",
     "decay_curve",
     "windowed_means",
     "write_decay_csv",
@@ -46,6 +47,9 @@ DERIVATION_TOLERANCES = {"initial": 1e-12, "radial": 1e-12, "angular": 1e-10, "r
 # Random-draw checks run their trials in batches of at most this many, so
 # their memory does not grow with the trial count.
 TRIAL_CHUNK = 250
+# The decay curve is computed this many distances at a time: about 2.5 MB
+# of temporaries at dim 128.
+DISTANCE_CHUNK = 1024
 
 
 def trial_chunks(trials: int) -> list[int]:
@@ -73,12 +77,17 @@ class DecayCurve:
 
 
 def decay_curve(dim: int, max_distance: int) -> DecayCurve:
+    """The curve over r = 0..max_distance, DISTANCE_CHUNK distances at a
+    time, so its memory does not grow with ``max_distance``."""
     if max_distance < 0:
         raise ConfigurationError(f"max_distance must be >= 0, got {max_distance}")
     thetas = RotaryEncoder(dim).thetas
     distances = np.arange(max_distance + 1)
-    phases = np.exp(1j * np.multiply.outer(distances, thetas))
-    values = np.abs(np.cumsum(phases, axis=-1)).mean(axis=-1)
+    values = np.empty(max_distance + 1)
+    for start in range(0, max_distance + 1, DISTANCE_CHUNK):
+        chunk = slice(start, start + DISTANCE_CHUNK)
+        phases = np.exp(1j * np.multiply.outer(distances[chunk], thetas))
+        values[chunk] = np.abs(np.cumsum(phases, axis=-1)).mean(axis=-1)
     return DecayCurve(distances=distances, values=values)
 
 

@@ -10,6 +10,7 @@ to that of an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -36,6 +37,23 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-8
+
+# Every step allocates fresh arrays, frees them all at its end and allocates
+# the same ones again in the next step: 128-512 KB each in the ctx64 and
+# ctx512 benchmark configs, up to 2 MiB (4 MiB at --precision 64) for the
+# logits, FFN hiddens and attention P blocks at the `train` defaults.
+# glibc's malloc mmaps an array above its dynamic threshold (128 KiB at
+# first, raised by frees up to 32 MiB) and trims the heap top once more than
+# twice that threshold is free, so each step page-faults much of its memory
+# in anew. A fixed mmap threshold of 32 MiB, the ceiling of the dynamic one,
+# puts every array that the dynamic threshold could put in the heap there
+# from the first step. Trimming is turned off (-1), because a step's working
+# set, about 60 MiB at the defaults and 115 MiB at --precision 64, grows with
+# batch and context and no fixed trim threshold covers every config; the
+# process keeps its peak heap instead of returning it.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = -1
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc malloc.h
 
 
 @dataclass(frozen=True)
@@ -103,6 +121,22 @@ def adam_step(model: ByteLM, state: AdamState, lr: float) -> None:
         )
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Set glibc's malloc thresholds for the whole process, once; a no-op on
+    any other libc. The settings outlive the training call."""
+    import platform  # here, as ctypes, so that importing the harness does not load it
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _sample_batch(corpus: Corpus, rng: Rng, batch_size: int, seq: int):
     span = len(corpus.train) - seq
     if span < 1:
@@ -124,6 +158,7 @@ def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
         )
     if os.path.isdir(config.checkpoint_path):
         raise DataError(f"checkpoint path is a directory: {config.checkpoint_path}")
+    _keep_freed_memory()
     metrics: list[tuple[int, float]] = []
     seq = model.config.context_len
     append = start_step > 0 and os.path.exists(config.metrics_path)

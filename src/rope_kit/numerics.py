@@ -86,10 +86,14 @@ def _mix64(z: int) -> int:
 class Rng:
     """splitmix64 pseudo-random stream.
 
-    The algorithm is fixed: the same seed yields a bit-identical sample
-    stream on every platform and in every future version. Normal draws
-    use Box-Muller on two fresh uniforms (the sine partner is discarded,
-    so the stream position is a pure function of the number of calls).
+    The algorithm is fixed: the same seed yields a bit-identical
+    ``next_u64``, ``uniform``, ``randint`` and ``randint_array`` stream on
+    every platform and in every future version. Normal draws use Box-Muller
+    on two fresh uniforms (the sine partner is discarded, so the stream
+    position is a pure function of the number of calls); their values go
+    through libm's ``log`` and ``cos``, so ``normal`` is fixed for a given
+    libm, and ``normal_array`` for a given libm and numpy build (its
+    version and the CPU code it dispatches to).
     """
 
     def __init__(self, seed: int):
@@ -131,10 +135,15 @@ class Rng:
         """``scale`` times ``prod(shape)`` consecutive ``normal()`` draws, float64.
 
         The result and the final ``state`` are bit-identical to calling
-        ``normal()`` once per element, in C order. ``log`` and ``cos``
-        stay on libm (``math``) on purpose: numpy's SIMD versions differ
-        from it in the last bit on some inputs. ``sqrt`` and the products
-        are correctly rounded in both, so they run in numpy.
+        ``normal()`` once per element, in C order. ``log`` stays on libm
+        (``math``) on purpose: numpy's SIMD ``log`` differs from it in the
+        last bit on some inputs. numpy's float64 ``cos`` runs in numpy, as
+        do ``sqrt`` and the products, which are correctly rounded in both:
+        numpy 2.4.6 on x86-64 calls libm's ``cos`` per element, even on an
+        AVX-512 CPU. A numpy build that dispatches float64 ``cos`` to its
+        own SIMD code would break the equality with ``normal()``;
+        ``test_normal_array_matches_scalar_normal`` checks it over 100 000
+        draws.
         """
         if not np.iterable(shape):
             shape = (shape,)
@@ -148,10 +157,8 @@ class Rng:
         # Products put the array first (the same IEEE result): a Python
         # float on the left costs a failed float.__mul__ first.
         log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, size)
-        cos_angle = np.fromiter(
-            map(math.cos, (u[1::2] * (2.0 * math.pi)).tolist()), np.float64, size
-        )
-        flat = np.sqrt(log_u1 * -2.0) * cos_angle
+        angle = u[1::2] * (2.0 * math.pi)
+        flat = np.sqrt(log_u1 * -2.0) * np.cos(angle, out=angle)
         return (flat * scale).reshape(shape)
 
     def _u64_block(self, draws: int) -> np.ndarray:

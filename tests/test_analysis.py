@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rope_kit.analysis import (
+    DISTANCE_CHUNK,
     AbelCheckReport,
     abel_identity_check,
     abel_single,
@@ -51,6 +53,25 @@ class TestDecayCurve:
         curve = decay_curve(128, 60)
         for r in (0, 1, 7, 33, 60):
             assert abs(curve.values[r] - decay_value_reference(128, r)) < 1e-10
+
+    def test_chunks_equal_one_expression(self):
+        max_distance = 3 * DISTANCE_CHUNK + 5  # four chunks, the last partial
+        thetas = RotaryEncoder(128).thetas
+        phases = np.exp(1j * np.multiply.outer(np.arange(max_distance + 1), thetas))
+        whole = np.abs(np.cumsum(phases, axis=-1)).mean(axis=-1)
+        curve = decay_curve(128, max_distance)
+        np.testing.assert_array_equal(curve.distances, np.arange(max_distance + 1))
+        assert np.array_equal(curve.values, whole)
+
+    def test_memory_does_not_grow_with_distance(self):
+        # One expression over all 20 001 distances peaked at 49 MB.
+        tracemalloc.start()
+        try:
+            decay_curve(128, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_windowed_means_strictly_decreasing(self):
         curve = decay_curve(128, 100)

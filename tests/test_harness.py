@@ -2,8 +2,11 @@
 
 import math
 import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import importlib
@@ -11,6 +14,7 @@ import importlib
 import numpy as np
 import pytest
 
+import rope_kit
 from rope_kit.errors import ConfigurationError, DataError, NumericError
 from rope_kit.harness import (
     AdamState,
@@ -149,7 +153,7 @@ class TestBuildModel:
     def test_shaw_gradient_across_query_blocks(self):
         # Context 131 spans three 64-row query blocks of softmax attention.
         model = ByteLM(tiny_config(pos_encoding="shaw", context_len=131), Rng(7))
-        tokens = np.array([Rng(8).randint(256) for _ in range(132)])[None, :]
+        tokens = Rng(8).randint_array(256, 132)[None, :]
         err = grad_check(lambda: model.loss(tokens[:, :-1], tokens[:, 1:]),
                          model.params, Rng(9), samples=60)
         assert err < 1e-6
@@ -286,6 +290,38 @@ class TestTraining:
         assert lines[0] == "step,loss"
         assert len(lines) >= 2  # at least one completed step survived
         assert not os.path.exists(config.checkpoint_path)
+
+
+# Three 10-step ctx64 training calls in one process; prints each call's
+# minor page faults.
+FAULT_PROBE = """
+import resource, sys
+from rope_kit.harness import ByteLM, ModelConfig, TrainConfig, train
+from rope_kit.numerics import Rng
+corpus, out = sys.argv[1:]
+for call in range(3):
+    model = ByteLM(ModelConfig(d_model=32, heads=2, layers=2, context_len=64), Rng(call))
+    config = TrainConfig(steps=10, corpus_path=corpus, metrics_path=f"{out}/{call}.csv",
+                         checkpoint_path=f"{out}/{call}.ckpt", batch_size=8, seed=call)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, config)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are glibc's")
+def test_training_reuses_freed_memory(tmp_path, small_corpus):
+    # With glibc's default thresholds every step mmaps some of its arrays
+    # afresh or trims them off the heap, and the second call took about
+    # 5 000 minor faults. Training keeps them in the heap, so a call after
+    # the first faults almost no pages in.
+    src = os.path.dirname(os.path.dirname(rope_kit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(small_corpus), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    faults = [int(line) for line in done.stdout.split()]
+    assert len(faults) == 3
+    assert faults[1] < 500 and faults[2] < 500, faults
 
 
 class TestCheckpoint:

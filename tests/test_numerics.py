@@ -172,7 +172,7 @@ class TestRng:
             h.update(rng.state.to_bytes(8, "little"))
         assert h.hexdigest() == digest
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 100_000])
     def test_normal_array_matches_scalar_normal(self, n):
         bulk, scalar = Rng(2104), Rng(2104)
         out = bulk.normal_array((n,))
