@@ -216,17 +216,16 @@ def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
     """
     q = _as_tensor(q)
     dim = q.data.shape[-1]
-    if dim != shaw.dim:
-        raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.dim}")
-    emb = shaw.key_embeddings.tensor
-    scores = q.data @ emb.data.T
+    if dim != shaw.data.shape[-1]:
+        raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.data.shape[-1]}")
+    scores = q.data @ shaw.data.T
 
     def grad_fn(g):
         d_scores = np.concatenate([g, -g.sum(axis=-1, keepdims=True)], axis=-1)
-        return (d_scores @ emb.data,
+        return (d_scores @ shaw.data,
                 d_scores.reshape(-1, d_scores.shape[-1]).T @ q.data.reshape(-1, dim))
 
-    return tape_op(scores[..., :-1] - scores[..., -1:], (q, emb), grad_fn,
+    return tape_op(scores[..., :-1] - scores[..., -1:], (q, shaw), grad_fn,
                    name="shaw_score_bias")
 
 
@@ -384,22 +383,16 @@ def rope_linear_attention(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncode
     return rope_linear_attention_parts(q, k, v, encoder, feature_map, causal).output
 
 
-def rope_weight_sign_stats(q, k, encoder: RotaryEncoder, feature_map: str = "elu",
-                           causal: bool = False) -> dict:
-    """Sign census of the rotary-linear numerator weights (reported, never
-    asserted: negative weights are expected and allowed)."""
+def rope_weight_sign_stats(q, k, encoder: RotaryEncoder) -> dict:
+    """Sign census of the rotary-linear numerator weights under the elu
+    feature map, over every (query, key) pair (reported, never asserted:
+    negative weights are expected and allowed)."""
     qa, ka = as_array(q), as_array(k)
     if qa.ndim != 2 or ka.shape != qa.shape:
         raise DimensionError(f"expected (seq, dim) inputs, got {qa.shape} and {ka.shape}")
-    seq = qa.shape[0]
-    phi, varphi = feature_map_pair(feature_map)
-    pq = apply_rotary_rows(encoder, phi(Tensor(qa)).data)
-    pk = apply_rotary_rows(encoder, varphi(Tensor(ka)).data)
+    pq = apply_rotary_rows(encoder, elu_plus_one(Tensor(qa)).data)
+    pk = apply_rotary_rows(encoder, elu_plus_one(Tensor(ka)).data)
     weights = pq @ pk.T
-    if causal:
-        weights = weights[causal_mask(seq)]
-    else:
-        weights = weights.ravel()
     return {
         "weights": int(weights.size),
         "negative_fraction": float((weights < 0).mean()),

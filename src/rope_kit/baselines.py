@@ -2,9 +2,10 @@
 
 Three baselines: the fixed sinusoidal table, a trainable absolute
 embedding table, and clipped-relative key embeddings for causal
-attention (one row per offset 0..radius). The additive ones
-share a tiny protocol (``rows(seq)``) so injection into a sequence is one
-call regardless of variant.
+attention (one row per offset 0..radius). The two trainable ones are
+``Parameter`` subclasses, so a model registers, trains and checkpoints
+them as they are. The additive ones share a tiny protocol (``rows(seq)``)
+so injection into a sequence is one call regardless of variant.
 """
 
 from __future__ import annotations
@@ -60,28 +61,29 @@ class SinusoidalTable:
         return self._rows
 
 
-class LearnedAbsolute:
-    """Trainable per-position vectors; hard capacity, no extrapolation."""
+class LearnedAbsolute(Parameter):
+    """Trainable per-position vectors, a (max_len, dim) Parameter named
+    ``pos_learned``; hard capacity, no extrapolation."""
+
+    __slots__ = ()
 
     def __init__(self, max_len: int, dim: int, rng: Rng, scale: float = 0.02, dtype=np.float64):
         if max_len < 1:
             raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
-        self.max_len = max_len
-        self.dim = dim
-        self.embeddings = Parameter(
-            "pos_learned", rng.normal_array((max_len, dim), scale=scale), dtype=dtype
-        )
+        super().__init__("pos_learned", rng.normal_array((max_len, dim), scale=scale),
+                         dtype=dtype)
 
     def rows(self, seq: int) -> Tensor:
-        if seq > self.max_len:
+        if seq > len(self.data):
             raise LengthError(
-                f"sequence length {seq} exceeds learned-position capacity {self.max_len}"
+                f"sequence length {seq} exceeds learned-position capacity {len(self.data)}"
             )
-        return take_rows(self.embeddings.tensor, np.arange(seq))
+        return take_rows(self, np.arange(seq))
 
 
-class ShawRelative:
-    """Trainable key-space embeddings indexed by clipped relative distance.
+class ShawRelative(Parameter):
+    """Trainable key-space embeddings indexed by clipped relative distance,
+    a (radius + 1, dim) Parameter named ``pos_shaw``.
 
     Only the key path is kept: the score between positions m and n gains
     the term q_m . e[min(m - n, radius)] before scaling. The value-path
@@ -91,14 +93,14 @@ class ShawRelative:
     and row radius every offset >= radius.
     """
 
+    __slots__ = ()
+
     def __init__(self, radius: int, dim: int, rng: Rng,
                  scale: float = 0.02, dtype=np.float64):
         if radius < 1:
             raise ConfigurationError(f"clip radius must be >= 1, got {radius}")
-        self.dim = dim
-        self.key_embeddings = Parameter(
-            "pos_shaw", rng.normal_array((radius + 1, dim), scale=scale), dtype=dtype
-        )
+        super().__init__("pos_shaw", rng.normal_array((radius + 1, dim), scale=scale),
+                         dtype=dtype)
 
 
 def additive_inject(x: Tensor, encoding) -> Tensor:

@@ -45,9 +45,7 @@ def _suite_numerics(rng: Rng, dims, trials: int):
     worst_assoc = float(np.abs(matmul(matmul(a, b), c).data - matmul(a, matmul(b, c)).data).max())
     w = Parameter("w", rng.normal_array((4, 4)))
     x = Parameter("x", rng.normal_array((4, 3)))
-    grad_err = grad_check(
-        lambda: tensor_sum(softmax_rows(matmul(w.tensor, x.tensor))), [w, x], rng, samples=10
-    )
+    grad_err = grad_check(lambda: tensor_sum(softmax_rows(matmul(w, x))), [w, x], rng, samples=10)
     ok = worst_sum < 1e-12 and worst_shift < 1e-12 and worst_assoc < 1e-10 and grad_err < 1e-4
     return ok, (
         f"row-sum {worst_sum:.1e}, shift {worst_shift:.1e}, "
@@ -183,7 +181,7 @@ def _suite_linear_attention(rng: Rng, dims, trials: int):
             roped = attention.rope_linear_attention_parts(q, k, v, encoder, "elu")
             if not np.array_equal(roped.denominator, plain.denominator):
                 return False, "rotary-linear denominator differs from plain linear"
-            stats = attention.rope_weight_sign_stats(q.data, k.data, encoder, "elu")
+            stats = attention.rope_weight_sign_stats(q.data, k.data, encoder)
     detail = f"regrouped vs direct {worst:.2e}, denominators bit-identical"
     if stats is not None:
         detail += f"; numerator weights < 0: {stats['negative_fraction']:.1%} (reported only)"

@@ -3,7 +3,7 @@
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import RunComparison, compare_runs, format_table, read_metrics
 from .model import ByteLM, ModelConfig
-from .train import AdamState, TrainConfig, load_corpus, resume, train, train_from_scratch
+from .train import AdamState, TrainConfig, load_corpus, resume, train
 
 __all__ = [
     "AdamState",
@@ -19,5 +19,4 @@ __all__ = [
     "resume",
     "save_checkpoint",
     "train",
-    "train_from_scratch",
 ]

@@ -21,7 +21,10 @@ Model parameters come first in registry order, then the Adam moments as
 config text and overwrites every array bytewise, so a resumed run
 continues the exact trajectory of an uninterrupted one. Saving writes a
 temporary file beside the target and renames it over the target, so a
-failed save leaves the previous checkpoint as it was.
+failed save leaves the previous checkpoint as it was; the temporary file
+is synced to disk before the rename, so a crash after it cannot leave an
+empty file under the target name. Every length read from the file is
+compared with the bytes left in it before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f8" if bits == 64 else "<f4", copy=False).tobytes())
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    if n > _bytes_left(fh):  # checked first: a corrupt length must not size an allocation
         raise DataError("checkpoint is truncated")
-    return buf
+    return fh.read(n)
 
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
@@ -82,8 +88,8 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
         raise DataError(f"unknown precision flag {bits} for tensor {name!r}")
     dtype = "<f8" if bits == 64 else "<f4"
     size = math.prod(shape) * (bits // 8)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:  # checked first: a corrupt shape must not size an allocation
+    left = _bytes_left(fh)
+    if size > left:  # named here, where the tensor and its shape are known
         raise DataError(
             f"tensor {name!r} of shape {shape} needs {size} bytes, the file has {left} left"
         )
@@ -110,6 +116,8 @@ def save_checkpoint(path, model, adam, rng: Rng) -> None:
             fh.write(struct.pack("<I", len(tensors)))
             for name, arr in tensors:
                 _write_tensor(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the name points at it
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -154,7 +162,7 @@ def load_checkpoint(path):
                     f"{path}: tensor {key!r} has shape {arr.shape}, expected {p.data.shape}"
                 )
             if target is None:
-                p.tensor.data[...] = arr
+                p.data[...] = arr
             else:
                 target[p.name][...] = arr
     rng = Rng(seed)

@@ -114,11 +114,11 @@ class ByteLM:
         if config.pos_encoding == "learned":
             self.learned = LearnedAbsolute(config.context_len, d, rng,
                                            scale=INIT_SCALE, dtype=self.dtype)
-            self.params.append(self.learned.embeddings)
+            self.params.append(self.learned)
         elif config.pos_encoding == "shaw":
             self.shaw = ShawRelative(SHAW_CLIP_RADIUS, hd, rng,
                                      scale=INIT_SCALE, dtype=self.dtype)
-            self.params.append(self.shaw.key_embeddings)
+            self.params.append(self.shaw)
         for i in range(config.layers):
             self._gain(f"layer{i}.attn_norm", d)
             self._matrix(f"layer{i}.wq", rng, (d, d))
@@ -145,10 +145,10 @@ class ByteLM:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
-    def _p(self, name: str) -> Tensor:
-        return self.by_name[name].tensor
+    def _p(self, name: str) -> Parameter:
+        return self.by_name[name]
 
     def loss(self, x_tokens: np.ndarray, y_tokens: np.ndarray) -> Tensor:
         """Mean next-byte cross-entropy over a (batch, seq) token block."""

@@ -21,7 +21,7 @@ from ..errors import ConfigurationError, DataError, NumericError
 from ..numerics import Rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import METRICS_HEADER, read_metrics
-from .model import ByteLM, ModelConfig
+from .model import ByteLM
 
 __all__ = [
     "Corpus",
@@ -30,7 +30,6 @@ __all__ = [
     "load_corpus",
     "adam_step",
     "train",
-    "train_from_scratch",
     "resume",
 ]
 
@@ -116,9 +115,7 @@ def adam_step(model: ByteLM, state: AdamState, lr: float) -> None:
         v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.tensor.data[...] -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(
-            p.data.dtype, copy=False
-        )
+        p.data[...] -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype, copy=False)
 
 
 @functools.cache
@@ -199,13 +196,6 @@ def train(model: ByteLM, config: TrainConfig) -> list[tuple[int, float]]:
     corpus = load_corpus(config.corpus_path)
     adam = AdamState(model)
     return _run_steps(model, adam, rng, corpus, config, start_step=0)
-
-
-def train_from_scratch(model_config: ModelConfig,
-                       config: TrainConfig) -> list[tuple[int, float]]:
-    """Build with the run seed, then train: one call for the common case."""
-    model = ByteLM(model_config, Rng(config.seed))
-    return train(model, config)
 
 
 def resume(checkpoint_path, config: TrainConfig) -> list[tuple[int, float]]:

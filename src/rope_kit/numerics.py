@@ -5,6 +5,8 @@ micrograd-style, as per-op backward closures over whole tensors, and
 replayed in reverse topological order. Every op checks its output for
 NaN/Inf and raises ``NumericError`` instead of letting bad values
 propagate. Verification code runs in float64; training may use float32.
+A ``Parameter`` is a named leaf Tensor that requires a gradient; ops,
+``grad_check`` and the optimizer take it as it is.
 
 Gradients accumulate by first write: the first gradient a tensor
 receives becomes its ``grad`` and later ones are added into it with
@@ -716,28 +718,25 @@ def take_rows(table: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class Parameter:
-    """Named trainable tensor; its gradient lives on the wrapped Tensor."""
+class Parameter(Tensor):
+    """Trainable leaf Tensor with a name, the key of its checkpoint entry
+    and its Adam moments."""
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, dtype=None):
+        super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True, dtype=dtype)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
 
     @property
     def gradient(self) -> np.ndarray:
-        if self.tensor.grad is None:
-            return np.zeros_like(self.tensor.data)
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
+        """``grad``, or zeros before any backward pass has reached it."""
+        if self.grad is None:
+            return np.zeros_like(self.data)
+        return self.grad
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def grad_check(f, params: list[Parameter], rng: Rng, samples: int = 25) -> float:
@@ -753,15 +752,15 @@ def grad_check(f, params: list[Parameter], rng: Rng, samples: int = 25) -> float
     if samples < 1:
         raise ConfigurationError(f"grad_check needs samples >= 1, got {samples}")
     for p in params:
-        if p.tensor.data.dtype != np.float64:
+        if p.data.dtype != np.float64:
             raise ConfigurationError(f"grad_check needs float64 parameters ({p.name})")
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = f()
     loss.backward()
     grads = [p.gradient.copy() for p in params]
 
-    sizes = [p.tensor.data.size for p in params]
+    sizes = [p.data.size for p in params]
     total = sum(sizes)
     h = 1e-5
     worst = 0.0
@@ -771,13 +770,13 @@ def grad_check(f, params: list[Parameter], rng: Rng, samples: int = 25) -> float
             if flat < size:
                 break
             flat -= size
-        idx = np.unravel_index(flat, p.tensor.data.shape)
-        original = p.tensor.data[idx]
-        p.tensor.data[idx] = original + h
+        idx = np.unravel_index(flat, p.data.shape)
+        original = p.data[idx]
+        p.data[idx] = original + h
         up = f().item()
-        p.tensor.data[idx] = original - h
+        p.data[idx] = original - h
         down = f().item()
-        p.tensor.data[idx] = original
+        p.data[idx] = original
         fd = (up - down) / (2.0 * h)
         ad = float(g[idx])
         err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))

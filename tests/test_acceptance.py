@@ -25,7 +25,6 @@ from rope_kit.harness import (
     load_checkpoint,
     resume,
     train,
-    train_from_scratch,
 )
 from rope_kit.numerics import Rng, Tensor, grad_check
 from rope_kit.rotary import (
@@ -223,7 +222,7 @@ def training_runs(megabyte_corpus, tmp_path_factory):
             metrics_path=str(out / f"{variant}.csv"),
             checkpoint_path=str(out / f"{variant}.ckpt"),
         )
-        metrics = train_from_scratch(ModelConfig(pos_encoding=variant, **RUN_MODEL), config)
+        metrics = train(ByteLM(ModelConfig(pos_encoding=variant, **RUN_MODEL), Rng(SEED)), config)
         runs[variant] = (config, metrics)
     for attention, tag in (("linear-elu", "performer-rope"), ("linear-elu", "performer")):
         pos = "rope" if tag == "performer-rope" else "none"
@@ -233,9 +232,8 @@ def training_runs(megabyte_corpus, tmp_path_factory):
             metrics_path=str(out / f"{tag}.csv"),
             checkpoint_path=str(out / f"{tag}.ckpt"),
         )
-        metrics = train_from_scratch(
-            ModelConfig(pos_encoding=pos, attention_variant=attention, **RUN_MODEL), config
-        )
+        model_config = ModelConfig(pos_encoding=pos, attention_variant=attention, **RUN_MODEL)
+        metrics = train(ByteLM(model_config, Rng(SEED)), config)
         runs[tag] = (config, metrics)
     return {"dir": out, "runs": runs, "elapsed": time.perf_counter() - start}
 
@@ -259,7 +257,7 @@ def test_criterion_10_training_plumbing(training_runs, megabyte_corpus, tmp_path
         metrics_path=str(tmp_path / "rope-redo.csv"),
         checkpoint_path=str(tmp_path / "rope-redo.ckpt"),
     )
-    train_from_scratch(ModelConfig(pos_encoding="rope", **RUN_MODEL), redo)
+    train(ByteLM(ModelConfig(pos_encoding="rope", **RUN_MODEL), Rng(SEED)), redo)
     assert (open(redo.metrics_path, "rb").read()
             == open(base_config.metrics_path, "rb").read())
     assert (open(redo.checkpoint_path, "rb").read()
@@ -272,7 +270,7 @@ def test_criterion_10_training_plumbing(training_runs, megabyte_corpus, tmp_path
         metrics_path=str(tmp_path / "rope-half.csv"),
         checkpoint_path=str(tmp_path / "rope-half.ckpt"),
     )
-    train_from_scratch(ModelConfig(pos_encoding="rope", **RUN_MODEL), half)
+    train(ByteLM(ModelConfig(pos_encoding="rope", **RUN_MODEL), Rng(SEED)), half)
     rest = TrainConfig(
         steps=RUN_STEPS, batch_size=8, learning_rate=1e-3, seed=SEED,
         corpus_path=str(megabyte_corpus),

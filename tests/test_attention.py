@@ -171,7 +171,7 @@ class TestSoftmaxAttention:
         params = [Parameter(n, rng.normal_array((4, 6))) for n in "qkv"]
 
         def f():
-            out = softmax_attention(*(p.tensor for p in params), causal=True)
+            out = softmax_attention(*params, causal=True)
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(9), samples=15) < 1e-6
@@ -185,7 +185,7 @@ class TestSoftmaxAttention:
         params["bias"] = Parameter("bias", rng.normal_array((2, 67, 16)))
 
         def f():
-            q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
+            q, k, v, bias = (params[n] for n in ("q", "k", "v", "bias"))
             out = softmax_attention(q, k, v, causal=causal, relative=bias)
             return tensor_sum(out * out)
 
@@ -205,12 +205,12 @@ class TestSoftmaxAttention:
         def run(fused):
             params = [Parameter(n, a, dtype=dtype) for n, a in zip(("q", "k", "v", "bias"),
                                                                   arrays[:3 + with_bias])]
-            q, k, v = (p.tensor for p in params[:3])
+            q, k, v = params[:3]
             if fused:
-                relative = params[3].tensor if with_bias else None
+                relative = params[3] if with_bias else None
                 out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
-                bias = dense_relative_bias(params[3].tensor) if with_bias else None
+                bias = dense_relative_bias(params[3]) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
@@ -261,10 +261,10 @@ class TestSoftmaxAttention:
         relative = None
         if with_bias:
             relative = Parameter("bias", rng.normal_array((1, 2, 512, 16)),
-                                 dtype=np.float32).tensor
+                                 dtype=np.float32)
         tracemalloc.start()
         try:
-            out = softmax_attention(*(p.tensor for p in params), causal=True, relative=relative)
+            out = softmax_attention(*params, causal=True, relative=relative)
             tensor_sum(out).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -290,12 +290,12 @@ class TestQueryBlocks:
 
         def run(fused):
             params = [Parameter(n, a) for n, a in zip(("q", "k", "v", "bias"), arrays)]
-            q, k, v = (p.tensor for p in params[:3])
+            q, k, v = params[:3]
             if fused:
-                relative = params[3].tensor if with_bias else None
+                relative = params[3] if with_bias else None
                 out = softmax_attention(q, k, v, causal=causal, relative=relative)
             else:
-                bias = dense_relative_bias(params[3].tensor) if with_bias else None
+                bias = dense_relative_bias(params[3]) if with_bias else None
                 out = composed_attention(q, k, v, causal, bias)
             tensor_sum(out * out).backward()
             return [out.data] + [p.gradient for p in params]
@@ -315,7 +315,7 @@ class TestQueryBlocks:
         params["bias"] = Parameter("bias", rng.normal_array((2, seq, 16)))
 
         def f():
-            q, k, v, bias = (params[n].tensor for n in ("q", "k", "v", "bias"))
+            q, k, v, bias = (params[n] for n in ("q", "k", "v", "bias"))
             out = softmax_attention(q, k, v, causal=causal, relative=bias)
             return tensor_sum(out * out)
 
@@ -400,7 +400,7 @@ class TestShawBias:
     @staticmethod
     def textbook_bias(q_m, rel, m):
         # q_m . e[min(m - n, radius)] for the keys n <= m.
-        table = rel.key_embeddings.data
+        table = rel.data
         return np.array([q_m @ table[min(m - n, len(table) - 1)] for n in range(m + 1)])
 
     def test_bias_matches_manual_loop(self):
@@ -420,11 +420,11 @@ class TestShawBias:
         v = Tensor(rng.normal_array((4, 4)))
 
         def f():
-            relative = shaw_score_bias(q.tensor, rel)
-            out = softmax_attention(q.tensor, q.tensor, v, causal=True, relative=relative)
+            relative = shaw_score_bias(q, rel)
+            out = softmax_attention(q, q, v, causal=True, relative=relative)
             return tensor_sum(out * out)
 
-        err = grad_check(f, [q, rel.key_embeddings], Rng(12), samples=15)
+        err = grad_check(f, [q, rel], Rng(12), samples=15)
         assert err < 1e-6
 
     def test_batched_heads_match_manual_loop(self):
@@ -450,9 +450,9 @@ class TestShawBias:
         w = Tensor(rng.normal_array((2, 2, 9, 2)))
 
         def f():
-            return tensor_sum(shaw_score_bias(q.tensor, rel) * w)
+            return tensor_sum(shaw_score_bias(q, rel) * w)
 
-        err = grad_check(f, [q, rel.key_embeddings], Rng(42), samples=60)
+        err = grad_check(f, [q, rel], Rng(42), samples=60)
         assert err < 1e-6
 
     def test_dim_mismatch_rejected(self):
@@ -468,7 +468,7 @@ class TestShawBias:
         q = Parameter("q", rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
         tracemalloc.start()
         try:
-            tensor_sum(shaw_score_bias(q.tensor, rel)).backward()
+            tensor_sum(shaw_score_bias(q, rel)).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -491,17 +491,17 @@ class TestShawBias:
         rng = Rng(120 + seq)
         rel = ShawRelative(radius, 8, rng, scale=1.0)
         table = Parameter("table", np.concatenate([rng.normal_array((-r_min, 8)),
-                                                   rel.key_embeddings.data]))
+                                                   rel.data]))
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
 
         def run(fused):
             params = [Parameter(n, a) for n, a in zip("qkv", arrays)]
-            q, k, v = (p.tensor for p in params)
+            q, k, v = params
             if fused:
                 out = softmax_attention(q, k, v, causal=causal, relative=shaw_score_bias(q, rel))
-                embeddings = rel.key_embeddings
+                embeddings = rel
             else:
-                bias = shaw_reference_bias(q, table.tensor, r_min)
+                bias = shaw_reference_bias(q, table, r_min)
                 out = composed_attention(q, k, v, causal, bias)
                 embeddings = table
             tensor_sum(out * out).backward()
@@ -520,10 +520,10 @@ class TestShawBias:
         rng = Rng(130)
         rel = ShawRelative(16, 4, rng, scale=1.0)
         params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
-        params["embeddings"] = rel.key_embeddings
+        params["embeddings"] = rel
 
         def f():
-            q, k, v = (params[n].tensor for n in "qkv")
+            q, k, v = (params[n] for n in "qkv")
             relative = shaw_score_bias(q, rel)
             out = softmax_attention(q, k, v, causal=causal, relative=relative)
             return tensor_sum(out * out)
@@ -597,7 +597,7 @@ class TestLinearAttention:
             params = [Parameter(n, rng.normal_array((5, 4))) for n in "qkv"]
 
             def f():
-                out = linear_attention(*(p.tensor for p in params), feature_map, causal=True)
+                out = linear_attention(*params, feature_map, causal=True)
                 return tensor_sum(out * out)
 
             assert grad_check(f, params, Rng(19), samples=12) < 1e-6
@@ -624,24 +624,22 @@ class TestRopeLinearAttention:
     def test_sign_stats_reported(self):
         rng = Rng(24)
         stats = rope_weight_sign_stats(
-            rng.normal_array((16, 8)), rng.normal_array((16, 8)), RotaryEncoder(8), "elu"
+            rng.normal_array((16, 8)), rng.normal_array((16, 8)), RotaryEncoder(8)
         )
         assert stats["weights"] == 256
         assert 0.0 <= stats["negative_fraction"] <= 1.0
         if stats["negative_fraction"] > 0:
             assert stats["min_weight"] < 0
 
-    @pytest.mark.parametrize("causal", [False, True])
-    def test_sign_stats_match_dense_rotation(self, causal):
+    def test_sign_stats_match_dense_rotation(self):
         rng = Rng(29)
         q, k = rng.normal_array((12, 8)), rng.normal_array((12, 8))
         enc = RotaryEncoder(8)
-        stats = rope_weight_sign_stats(q, k, enc, "elu", causal=causal)
+        stats = rope_weight_sign_stats(q, k, enc)
         rotations = [dense_rotation_matrix(enc, t) for t in range(12)]
         pq = np.stack([r @ elu1(row) for r, row in zip(rotations, q)])
         pk = np.stack([r @ elu1(row) for r, row in zip(rotations, k)])
         weights = pq @ pk.T
-        weights = weights[causal_mask(12)] if causal else weights.ravel()
         assert stats["weights"] == weights.size
         np.testing.assert_allclose(stats["negative_fraction"], (weights < 0).mean())
         np.testing.assert_allclose(stats["min_weight"], weights.min())
@@ -652,7 +650,7 @@ class TestRopeLinearAttention:
         params = [Parameter(n, rng.normal_array((5, 4))) for n in "qkv"]
 
         def f():
-            out = rope_linear_attention(*(p.tensor for p in params), enc, "elu", causal=True)
+            out = rope_linear_attention(*params, enc, "elu", causal=True)
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(26), samples=12) < 1e-6
@@ -706,7 +704,7 @@ class TestChunkwiseCausal:
         params = [Parameter(n, rng.normal_array((_CHUNK + 3, 4))) for n in "qkv"]
 
         def f():
-            q, k, v = (p.tensor for p in params)
+            q, k, v = params
             if rotary:
                 out = rope_linear_attention(q, k, v, enc, "elu", causal=True)
             else:
@@ -723,8 +721,7 @@ class TestChunkwiseCausal:
                   for n in "qkv"]
         tracemalloc.start()
         try:
-            out = rope_linear_attention(*(p.tensor for p in params), RotaryEncoder(32),
-                                        "elu", causal=True)
+            out = rope_linear_attention(*params, RotaryEncoder(32), "elu", causal=True)
             tensor_sum(out).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -67,12 +67,12 @@ class TestLearnedAbsolute:
     def test_deterministic_init(self):
         a = LearnedAbsolute(8, 4, Rng(42))
         b = LearnedAbsolute(8, 4, Rng(42))
-        np.testing.assert_array_equal(a.embeddings.data, b.embeddings.data)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_lookup_within_capacity(self):
         enc = LearnedAbsolute(8, 4, Rng(0))
         rows = enc.rows(8)
-        np.testing.assert_array_equal(rows.data, enc.embeddings.data)
+        np.testing.assert_array_equal(rows.data, enc.data)
 
     def test_beyond_capacity_rejected(self):
         enc = LearnedAbsolute(8, 4, Rng(0))

@@ -29,7 +29,6 @@ from rope_kit.harness import (
     resume,
     save_checkpoint,
     train,
-    train_from_scratch,
 )
 from rope_kit.harness.model import SHAW_CLIP_RADIUS
 from rope_kit.numerics import Rng, grad_check
@@ -43,6 +42,11 @@ def tiny_config(**overrides):
     merged = dict(TINY)
     merged.update(overrides)
     return ModelConfig(**merged)
+
+
+def train_new(model_config, config):
+    """Train a model built from the run's own seed."""
+    return train(ByteLM(model_config, Rng(config.seed)), config)
 
 
 def run_config(tmp_path, corpus, tag, **overrides):
@@ -112,6 +116,24 @@ class TestBuildModel:
         for pa, pb in zip(a.params, b.params):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_parameter_names_in_checkpoint_order(self):
+        learned = ByteLM(tiny_config(layers=2, pos_encoding="learned"), Rng(7))
+        assert [p.name for p in learned.params] == [
+            "wte", "pos_learned",
+            "layer0.attn_norm", "layer0.wq", "layer0.wk", "layer0.wv", "layer0.wo",
+            "layer0.ffn_norm", "layer0.w1", "layer0.w2",
+            "layer1.attn_norm", "layer1.wq", "layer1.wk", "layer1.wv", "layer1.wo",
+            "layer1.ffn_norm", "layer1.w1", "layer1.w2",
+            "final_norm", "lm_head",
+        ]
+        shaw = ByteLM(tiny_config(pos_encoding="shaw"), Rng(7))
+        assert [p.name for p in shaw.params] == [
+            "wte", "pos_shaw",
+            "layer0.attn_norm", "layer0.wq", "layer0.wk", "layer0.wv", "layer0.wo",
+            "layer0.ffn_norm", "layer0.w1", "layer0.w2",
+            "final_norm", "lm_head",
+        ]
 
     def test_different_seed_differs(self):
         a = ByteLM(tiny_config(), Rng(7))
@@ -245,11 +267,11 @@ class TestTraining:
         path.write_bytes(b"abcdefgh")
         config = run_config(tmp_path, path, "short")
         with pytest.raises(DataError):
-            train_from_scratch(tiny_config(context_len=16), config)
+            train_new(tiny_config(context_len=16), config)
 
     def test_metrics_file_format(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "fmt")
-        metrics = train_from_scratch(tiny_config(precision=32), config)
+        metrics = train_new(tiny_config(precision=32), config)
         lines = open(config.metrics_path).read().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == len(metrics) + 1 == 9
@@ -260,8 +282,8 @@ class TestTraining:
     def test_bit_identical_reruns(self, tmp_path, small_corpus):
         a = run_config(tmp_path, small_corpus, "rerun-a")
         b = run_config(tmp_path, small_corpus, "rerun-b")
-        train_from_scratch(tiny_config(precision=32), a)
-        train_from_scratch(tiny_config(precision=32), b)
+        train_new(tiny_config(precision=32), a)
+        train_new(tiny_config(precision=32), b)
         assert open(a.metrics_path, "rb").read() == open(b.metrics_path, "rb").read()
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
 
@@ -270,7 +292,7 @@ class TestTraining:
         path.write_bytes(b"a" * 4000)
         config = run_config(tmp_path, path, "degenerate", steps=60,
                             learning_rate=5e-3, batch_size=4)
-        metrics = train_from_scratch(tiny_config(precision=32), config)
+        metrics = train_new(tiny_config(precision=32), config)
         assert metrics[-1][1] < 0.1 * metrics[0][1]
         assert metrics[-1][1] < 0.5
 
@@ -284,7 +306,7 @@ class TestTraining:
                             steps=30, learning_rate=1e18)
         message = rf"^step \d+: {op} produced non-finite values$"
         with pytest.raises(NumericError, match=message) as err:
-            train_from_scratch(tiny_config(precision=32, attention_variant=variant), config)
+            train_new(tiny_config(precision=32, attention_variant=variant), config)
         assert isinstance(err.value.__cause__, NumericError)
         lines = open(config.metrics_path).read().splitlines()
         assert lines[0] == "step,loss"
@@ -327,7 +349,7 @@ def test_training_reuses_freed_memory(tmp_path, small_corpus):
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "round")
-        train_from_scratch(tiny_config(precision=32), config)
+        train_new(tiny_config(precision=32), config)
         model, adam, rng, step = load_checkpoint(config.checkpoint_path)
         assert step == 8
         assert model.config == tiny_config(precision=32)
@@ -337,10 +359,10 @@ class TestCheckpoint:
 
     def test_resume_matches_uninterrupted_run(self, tmp_path, small_corpus):
         full = run_config(tmp_path, small_corpus, "full", steps=10)
-        train_from_scratch(tiny_config(precision=32), full)
+        train_new(tiny_config(precision=32), full)
 
         half = run_config(tmp_path, small_corpus, "half", steps=5)
-        train_from_scratch(tiny_config(precision=32), half)
+        train_new(tiny_config(precision=32), half)
         rest = run_config(tmp_path, small_corpus, "rest", steps=10)
         resume(half.checkpoint_path, rest)
 
@@ -351,7 +373,7 @@ class TestCheckpoint:
 
     def test_resume_beyond_target_rejected(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "done", steps=4)
-        train_from_scratch(tiny_config(precision=32), config)
+        train_new(tiny_config(precision=32), config)
         with pytest.raises(ConfigurationError):
             resume(config.checkpoint_path, run_config(tmp_path, small_corpus, "done2", steps=4))
 
@@ -363,7 +385,7 @@ class TestCheckpoint:
 
     def test_truncated_rejected(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "trunc", steps=2)
-        train_from_scratch(tiny_config(precision=32), config)
+        train_new(tiny_config(precision=32), config)
         blob = open(config.checkpoint_path, "rb").read()
         path = tmp_path / "cut.ckpt"
         path.write_bytes(blob[: len(blob) // 2])
@@ -411,9 +433,46 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_corrupt_config_length_sizes_no_allocation(self, tmp_path):
+        model = ByteLM(tiny_config(), Rng(1))
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, AdamState(model), Rng(2))
+        blob = good.read_bytes()
+        head = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
+        path = tmp_path / "long-config.ckpt"
+        path.write_bytes(blob[:head] + struct.pack("<I", 64 * 2**20) + blob[head + 4:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_save_syncs_before_rename(self, tmp_path, monkeypatch):
+        model = ByteLM(tiny_config(), Rng(1))
+        path = tmp_path / "synced.ckpt"
+        real_fsync, real_replace = os.fsync, os.replace
+        calls = []
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_module.os, "fsync", fsync)
+        monkeypatch.setattr(checkpoint_module.os, "replace", replace)
+        save_checkpoint(path, model, AdamState(model), Rng(2))
+        size = path.stat().st_size
+        assert calls == [("fsync", size), ("replace", size)]
+
     def test_adam_moments_restored(self, tmp_path, small_corpus):
         config = run_config(tmp_path, small_corpus, "moments", steps=3)
-        train_from_scratch(tiny_config(precision=32), config)
+        train_new(tiny_config(precision=32), config)
         model, adam, _, step = load_checkpoint(config.checkpoint_path)
         assert adam.step == step == 3
         assert any(np.abs(m).max() > 0 for m in adam.m.values())
@@ -452,7 +511,7 @@ class TestCheckpoint:
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, small_corpus, monkeypatch):
         config = run_config(tmp_path, small_corpus, "atomic", steps=2)
-        train_from_scratch(tiny_config(precision=32), config)
+        train_new(tiny_config(precision=32), config)
         before = open(config.checkpoint_path, "rb").read()
         model, adam, rng, _ = load_checkpoint(config.checkpoint_path)
         real_write = checkpoint_module._write_tensor
@@ -473,16 +532,16 @@ class TestCheckpoint:
 
     def test_resume_appends_to_same_metrics_file(self, tmp_path, small_corpus):
         straight = run_config(tmp_path, small_corpus, "straight", steps=8)
-        train_from_scratch(tiny_config(precision=32), straight)
+        train_new(tiny_config(precision=32), straight)
         first = run_config(tmp_path, small_corpus, "same", steps=4)
-        train_from_scratch(tiny_config(precision=32), first)
+        train_new(tiny_config(precision=32), first)
         resume(first.checkpoint_path, run_config(tmp_path, small_corpus, "same", steps=8))
         assert (open(first.metrics_path, "rb").read()
                 == open(straight.metrics_path, "rb").read())
 
     def test_resume_rejects_metrics_not_ending_at_checkpoint(self, tmp_path, small_corpus):
         first = run_config(tmp_path, small_corpus, "gap", steps=4)
-        train_from_scratch(tiny_config(precision=32), first)
+        train_new(tiny_config(precision=32), first)
         rows = open(first.metrics_path).read().splitlines()
         with open(first.metrics_path, "w") as fh:
             fh.write("\n".join(rows[:-1]) + "\n")  # drop step 4
@@ -494,8 +553,8 @@ class TestCompareRuns:
     def test_identical_files_zero_difference(self, tmp_path, small_corpus):
         a = run_config(tmp_path, small_corpus, "same-a")
         b = run_config(tmp_path, small_corpus, "same-b")
-        train_from_scratch(tiny_config(precision=32), a)
-        train_from_scratch(tiny_config(precision=32), b)
+        train_new(tiny_config(precision=32), a)
+        train_new(tiny_config(precision=32), b)
         cmp = compare_runs([a.metrics_path, b.metrics_path])
         diff = cmp.losses[cmp.names[0]] - cmp.losses[cmp.names[1]]
         np.testing.assert_array_equal(diff, 0.0)

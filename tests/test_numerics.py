@@ -237,7 +237,7 @@ class TestMatmul:
     def test_gradients(self):
         w = Parameter("w", [[1.0, 2.0], [3.0, 4.0]])
         x = Tensor([[5.0], [6.0]])
-        tensor_sum(matmul(w.tensor, x)).backward()
+        tensor_sum(matmul(w, x)).backward()
         np.testing.assert_array_equal(w.gradient, [[5.0, 6.0], [5.0, 6.0]])
 
 
@@ -303,7 +303,7 @@ class TestCrossEntropy:
 
     def test_gradient(self):
         logits = Parameter("logits", Rng(1).normal_array((4, 7)))
-        err = grad_check(lambda: cross_entropy(logits.tensor, [0, 1, 2, 3]),
+        err = grad_check(lambda: cross_entropy(logits, [0, 1, 2, 3]),
                          [logits], Rng(2), samples=10)
         assert err < 1e-6
 
@@ -311,10 +311,10 @@ class TestCrossEntropy:
         # The backward divides the kept exp(z) by its kept row sums; a
         # second sweep over the same tape must see them unchanged.
         logits = Parameter("logits", Rng(3).normal_array((5, 9)))
-        loss = cross_entropy(logits.tensor, [0, 8, 3, 3, 1])
+        loss = cross_entropy(logits, [0, 8, 3, 3, 1])
         loss.backward()
         first = logits.gradient.copy()
-        logits.zero_grad()
+        logits.grad = None
         loss.backward()
         assert np.array_equal(logits.gradient, first)
 
@@ -328,7 +328,7 @@ class TestCrossEntropy:
 
         def run(x, ids):
             p = Parameter("logits", x)
-            loss = cross_entropy(p.tensor, ids)
+            loss = cross_entropy(p, ids)
             loss.backward()
             return loss.data, p.gradient
 
@@ -386,7 +386,7 @@ class TestElementwise:
         dinner = c * (1.0 + 3 * 0.044715 * x**2)
         expected_grad = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
         p = Parameter("x", x, dtype=dtype)
-        out = gelu(p.tensor)
+        out = gelu(p)
         tensor_sum(out * Tensor(g)).backward()
         assert out.dtype == p.gradient.dtype == dtype
         assert np.array_equal(out.data, expected)
@@ -400,9 +400,9 @@ class TestElementwise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if op == "gelu":
-                out = gelu(u.tensor)
+                out = gelu(u)
             else:  # ffn of x = [[1]] has the hidden pre-activation u
-                out = ffn(Tensor(np.ones((1, 1), np.float32)), u.tensor,
+                out = ffn(Tensor(np.ones((1, 1), np.float32)), u,
                           Tensor(np.ones((2, 1), np.float32)))
             tensor_sum(out).backward()
         assert np.array_equal(u.gradient, [[1.0, 0.0]])
@@ -416,12 +416,12 @@ class TestElementwise:
 
     def test_take_rows_and_gradient(self):
         table = Parameter("t", np.arange(12.0).reshape(4, 3))
-        out = take_rows(table.tensor, np.array([[0, 2], [2, 3]]))
+        out = take_rows(table, np.array([[0, 2], [2, 3]]))
         np.testing.assert_array_equal(out.data[0, 1], [6.0, 7.0, 8.0])
         tensor_sum(out).backward()
         np.testing.assert_array_equal(table.gradient[:, 0], [1.0, 0.0, 2.0, 1.0])
         with pytest.raises(IndexError):
-            take_rows(table.tensor, [4])
+            take_rows(table, [4])
 
 
 def leaf(values, dtype=np.float64) -> Tensor:
@@ -533,7 +533,7 @@ class TestFusedDense:
 
         def run(fused):
             params = [Parameter(n, a, dtype=dtype) for n, a in zip(("x", "w1", "w2"), arrays)]
-            x, w1, w2 = (p.tensor for p in params)
+            x, w1, w2 = params
             if fused_op == "linear":
                 params = params[:2]
                 out = linear(x, w1) if fused else matmul(x, w1)
@@ -554,16 +554,16 @@ class TestFusedDense:
         w = Parameter("w", rng.normal_array((8, 6)))
         options = {"split": dict(split_heads=2), "merge": dict(merge_heads=True)}.get(form, {})
         if form == "split":
-            expected = heads_chain(x.tensor, w.tensor, 2)
+            expected = heads_chain(x, w, 2)
         elif form == "merge":
-            expected = merge_chain(x.tensor, w.tensor)
+            expected = merge_chain(x, w)
         else:
-            expected = matmul(x.tensor, w.tensor)
+            expected = matmul(x, w)
         weights = Tensor(rng.normal_array(expected.shape))
-        out = linear(x.tensor, w.tensor, **options)
+        out = linear(x, w, **options)
         assert out.shape == expected.shape
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-13, atol=1e-15)
-        err = grad_check(lambda: tensor_sum(linear(x.tensor, w.tensor, **options) * weights),
+        err = grad_check(lambda: tensor_sum(linear(x, w, **options) * weights),
                          [x, w], Rng(44), samples=30)
         assert err < 1e-6
 
@@ -573,10 +573,10 @@ class TestFusedDense:
         w1 = Parameter("w1", rng.normal_array((6, 24)))
         w2 = Parameter("w2", rng.normal_array((24, 6), scale=0.3))
         weights = Tensor(rng.normal_array((3, 5, 6)))
-        out = ffn(x.tensor, w1.tensor, w2.tensor)
-        expected = matmul(gelu(matmul(x.tensor, w1.tensor)), w2.tensor)
+        out = ffn(x, w1, w2)
+        expected = matmul(gelu(matmul(x, w1)), w2)
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-13, atol=1e-15)
-        err = grad_check(lambda: tensor_sum(ffn(x.tensor, w1.tensor, w2.tensor) * weights),
+        err = grad_check(lambda: tensor_sum(ffn(x, w1, w2) * weights),
                          [x, w1, w2], Rng(46), samples=40)
         assert err < 1e-6
 
@@ -610,17 +610,17 @@ class TestFusedDense:
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         p = Parameter("w", [3.0])
-        loss = tensor_sum(p.tensor * p.tensor)
+        loss = tensor_sum(p * p)
         loss.backward()
         assert abs(p.gradient[0] - 6.0) < 1e-12
-        err = grad_check(lambda: tensor_sum(p.tensor * p.tensor), [p], Rng(0), samples=5)
+        err = grad_check(lambda: tensor_sum(p * p), [p], Rng(0), samples=5)
         assert err < 1e-9
 
     def test_linear_map_gradient_is_broadcast_input(self):
         rng = Rng(13)
         w = Parameter("w", rng.normal_array((3, 2)))
         x = Tensor(rng.normal_array((2, 4)))
-        err = grad_check(lambda: tensor_sum(matmul(w.tensor, x)), [w], Rng(14), samples=6)
+        err = grad_check(lambda: tensor_sum(matmul(w, x)), [w], Rng(14), samples=6)
         assert err < 1e-8
 
     def test_op_composition(self):
@@ -629,7 +629,7 @@ class TestGradCheck:
         x = Tensor(rng.normal_array((6, 6)))
 
         def f():
-            h = gelu(matmul(w.tensor, x))
+            h = gelu(matmul(w, x))
             return mean(softmax_rows(h) * rmsnorm(h, Tensor(np.ones(6))))
 
         assert grad_check(f, [w], Rng(16), samples=20) < 1e-4
@@ -637,11 +637,11 @@ class TestGradCheck:
     def test_rejects_float32_parameters(self):
         p = Parameter("w", np.ones(2, dtype=np.float32))
         with pytest.raises(ConfigurationError):
-            grad_check(lambda: tensor_sum(p.tensor), [p], Rng(0), samples=1)
+            grad_check(lambda: tensor_sum(p), [p], Rng(0), samples=1)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_no_samples(self, samples):
         # No entry compared would return 0.0, passing any tolerance.
         p = Parameter("w", [3.0])
         with pytest.raises(ConfigurationError, match="samples"):
-            grad_check(lambda: tensor_sum(p.tensor), [p], Rng(0), samples=samples)
+            grad_check(lambda: tensor_sum(p), [p], Rng(0), samples=samples)

@@ -249,7 +249,7 @@ class TestApplyRotary:
         enc = RotaryEncoder(8)
         p = Parameter("x", Rng(5).normal_array((3, 8)))
         err = grad_check(
-            lambda: tensor_sum(apply_rotary(enc, p.tensor, 9) * apply_rotary(enc, p.tensor, 2)),
+            lambda: tensor_sum(apply_rotary(enc, p, 9) * apply_rotary(enc, p, 2)),
             [p], Rng(6), samples=10,
         )
         assert err < 1e-8
