@@ -53,7 +53,9 @@ DISTANCE_CHUNK = 1024
 
 
 def trial_chunks(trials: int) -> list[int]:
-    """Batch sizes that add up to ``trials``, each at most TRIAL_CHUNK."""
+    """Batch sizes that add up to ``trials`` (>= 1), each at most TRIAL_CHUNK."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     return [min(TRIAL_CHUNK, trials - start) for start in range(0, trials, TRIAL_CHUNK)]
 
 
@@ -194,6 +196,8 @@ def abel_single(q, k, m, n, enc: RotaryEncoder):
 def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128)) -> AbelCheckReport:
     """:func:`abel_single` on unit-scale gaussian pairs at positions <= 512,
     drawn TRIAL_CHUNK trials at a time."""
+    if not dims:
+        raise ConfigurationError("abel_identity_check needs at least one dim")
     report = AbelCheckReport()
     for dim in dims:
         enc = RotaryEncoder(dim)

@@ -16,20 +16,23 @@ Layout (all integers little-endian):
         precision   u8 (32 or 64)
         payload     raw little-endian floats
 
-Model parameters come first in registry order, then the Adam moments as
-"adam.m:<name>" / "adam.v:<name>". Loading rebuilds the model from the
-config text and overwrites every array bytewise, so a resumed run
-continues the exact trajectory of an uninterrupted one. Saving writes a
-temporary file beside the target and renames it over the target, so a
-failed save leaves the previous checkpoint as it was; the temporary file
-is synced to disk before the rename, so a crash after it cannot leave an
-empty file under the target name. Every length read from the file is
-compared with the bytes left in it before anything is allocated for it.
+``_tensors`` gives the tensor order: the model parameters in registry
+order, then the Adam moments as "adam.m:<name>" and "adam.v:<name>".
+Loading rebuilds the model and its Adam state from the config text and
+reads each tensor, in file order, straight into its array, so a resumed
+run continues the exact trajectory of an uninterrupted one. A file is
+refused when a config key repeats, when its tensor count or a tensor's
+name, shape or precision differs from that model's, or when bytes
+follow the last tensor; every length read from the file is compared
+with the bytes left in it before anything is allocated for it. Saving
+writes a temporary file beside the target and renames it over the
+target, so a failed save leaves the previous checkpoint as it was; the
+temporary file is synced to disk before the rename, so a crash after it
+cannot leave an empty file under the target name.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
@@ -78,24 +81,26 @@ def _read_exact(fh, n: int) -> bytes:
     return fh.read(n)
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
+def _read_tensor(fh, name: str, target: np.ndarray) -> None:
+    """Reads the next tensor into ``target`` once its name, shape and precision match."""
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    stored = _read_exact(fh, name_len).decode("utf-8")
     (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
     shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
     (bits,) = struct.unpack("<B", _read_exact(fh, 1))
-    if bits not in (32, 64):
-        raise DataError(f"unknown precision flag {bits} for tensor {name!r}")
-    dtype = "<f8" if bits == 64 else "<f4"
-    size = math.prod(shape) * (bits // 8)
-    left = _bytes_left(fh)
-    if size > left:  # named here, where the tensor and its shape are known
-        raise DataError(
-            f"tensor {name!r} of shape {shape} needs {size} bytes, the file has {left} left"
-        )
-    payload = _read_exact(fh, size)
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return name, arr.astype(np.float64 if bits == 64 else np.float32)
+    expected = (name, target.shape, 8 * target.itemsize)
+    if (stored, shape, bits) != expected:
+        raise DataError(f"tensor (name, shape, bits) {(stored, shape, bits)}, expected {expected}")
+    payload = _read_exact(fh, target.nbytes)
+    target[...] = np.frombuffer(payload, target.dtype.newbyteorder("<")).reshape(shape)
+
+
+def _tensors(model, adam) -> list[tuple[str, np.ndarray]]:
+    """A checkpoint's (name, array) pairs in file order."""
+    tensors = [(p.name, p.data) for p in model.params]
+    tensors += [(f"adam.m:{name}", arr) for name, arr in adam.m.items()]
+    tensors += [(f"adam.v:{name}", arr) for name, arr in adam.v.items()]
+    return tensors
 
 
 def save_checkpoint(path, model, adam, rng: Rng) -> None:
@@ -110,9 +115,7 @@ def save_checkpoint(path, model, adam, rng: Rng) -> None:
             fh.write(struct.pack("<Q", rng.state))
             fh.write(struct.pack("<I", len(config_text)))
             fh.write(config_text)
-            tensors = [(p.name, p.data) for p in model.params]
-            tensors += [(f"adam.m:{name}", arr) for name, arr in adam.m.items()]
-            tensors += [(f"adam.v:{name}", arr) for name, arr in adam.v.items()]
+            tensors = _tensors(model, adam)
             fh.write(struct.pack("<I", len(tensors)))
             for name, arr in tensors:
                 _write_tensor(fh, name, arr)
@@ -142,29 +145,19 @@ def load_checkpoint(path):
             (state,) = struct.unpack("<Q", _read_exact(fh, 8))
             (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
             config = ModelConfig.from_text(_read_exact(fh, config_len).decode("utf-8"))
+            model = ByteLM(config, _ZeroInit())
+            adam = AdamState(model, step=step)
+            tensors = _tensors(model, adam)
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
-            stored = dict(_read_tensor(fh) for _ in range(count))
+            if count != len(tensors):
+                raise DataError(f"{count} tensors stored, its config's model has {len(tensors)}")
+            for name, target in tensors:
+                _read_tensor(fh, name, target)
+            if _bytes_left(fh):
+                raise DataError(f"{_bytes_left(fh)} bytes follow the last tensor")
     except (ValueError, TypeError) as exc:
-        # Besides DataError: a config line without "=", an unknown key or a
-        # bad value, and config or name bytes that are not UTF-8.
+        # Besides DataError: a bad config line, key or value, and bytes that are not UTF-8.
         raise DataError(f"{path}: {exc}") from exc
-
-    model = ByteLM(config, _ZeroInit())
-    adam = AdamState(model, step=step)
-    for p in model.params:
-        for prefix, target in (("", None), ("adam.m:", adam.m), ("adam.v:", adam.v)):
-            key = prefix + p.name
-            if key not in stored:
-                raise DataError(f"{path}: checkpoint is missing tensor {key!r}")
-            arr = stored[key]
-            if arr.shape != p.data.shape:
-                raise DataError(
-                    f"{path}: tensor {key!r} has shape {arr.shape}, expected {p.data.shape}"
-                )
-            if target is None:
-                p.data[...] = arr
-            else:
-                target[p.name][...] = arr
     rng = Rng(seed)
     rng.state = state
     return model, adam, rng, step

@@ -92,6 +92,8 @@ class ModelConfig:
             if not line.strip():
                 continue
             key, value = line.split("=", 1)
+            if key in kwargs:
+                raise ConfigurationError(f"config key {key!r} is given twice")
             kwargs[key] = int(value) if value.lstrip("-").isdigit() else value
         return cls(**kwargs)
 

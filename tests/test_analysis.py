@@ -205,6 +205,15 @@ class TestAbelIdentity:
         assert report.trials == 2 * trials
         assert report.bound_violations == 0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_driver_refuses_no_trials(self, trials):
+        with pytest.raises(ConfigurationError):
+            abel_identity_check(Rng(36), trials=trials)
+
+    def test_driver_refuses_no_dims(self):
+        with pytest.raises(ConfigurationError):
+            abel_identity_check(Rng(36), trials=10, dims=())
+
     def test_random_draw_driver(self):
         report = abel_identity_check(Rng(32), trials=1000, dims=(4, 64, 128))
         assert report.trials == 3000
@@ -264,6 +273,11 @@ class TestDerivation2D:
         monkeypatch.setattr(analysis, target, replacement)
         report = derivation_oracle_2d(Rng(37), trials=20)
         assert not report.passed
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_oracle_refuses_no_trials(self, trials):
+        with pytest.raises(ConfigurationError):
+            derivation_oracle_2d(Rng(34), trials=trials)
 
     def test_oracle_passes_on_random_draws(self):
         report = derivation_oracle_2d(Rng(34), trials=1000)

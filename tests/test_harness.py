@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 
 import importlib
+import io
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from rope_kit.numerics import Rng, grad_check
 
 checkpoint_module = importlib.import_module("rope_kit.harness.checkpoint")
 
+HEAD = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
 TINY = dict(d_model=16, heads=2, layers=1, context_len=8, precision=64)
 
 
@@ -392,55 +394,92 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    @staticmethod
+    def saved(tmp_path, **overrides):
+        """A fresh tiny model's checkpoint bytes and the offset of its tensor count."""
+        model = ByteLM(tiny_config(**overrides), Rng(1))
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, model, AdamState(model), Rng(2))
+        blob = good.read_bytes()
+        (text_len,) = struct.unpack_from("<I", blob, HEAD)
+        return blob, HEAD + 4 + text_len
+
+    @staticmethod
+    def refused(path):
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("part, old, new", [
         ("config", b"heads=2", b"heads 2"),
         ("config", b"heads=2", b"momentum=2"),
         ("config", b"d_model=16", b"d_model=abc"),
         ("config", b"d_model", b"d_\xffmodel"),
+        ("config", b"heads=2", b"heads=2\nheads=4"),
+        ("config", b"pos_encoding=learned", b"pos_encoding=rope"),
         ("name", b"wte", b"\xffte"),
         ("dim", struct.pack("<Q", 256), struct.pack("<Q", 2**31)),
     ], ids=["line-without-equals", "unknown-key", "non-integer-value",
-            "config-not-utf8", "name-not-utf8", "first-dim-2**31"])
+            "config-not-utf8", "repeated-key", "learned-read-as-rope",
+            "name-not-utf8", "first-dim-2**31"])
     def test_corrupt_contents_rejected(self, tmp_path, part, old, new):
-        model = ByteLM(tiny_config(), Rng(1))
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(good, model, AdamState(model), Rng(2))
-        blob = good.read_bytes()
-        head = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
-        (text_len,) = struct.unpack_from("<I", blob, head)
-        text_end = head + 4 + text_len
+        blob, text_end = self.saved(tmp_path, pos_encoding="learned")
         name_at = text_end + 4  # past the tensor count, at the first tensor's name length
         (name_len,) = struct.unpack_from("<H", blob, name_at)
         name_end = name_at + 2 + name_len
         dim_at = name_end + 1  # past the first tensor's ndim, at its first dim
-        parts = {"config": blob[head + 4:text_end], "name": blob[name_at + 2:name_end],
+        parts = {"config": blob[HEAD + 4:text_end], "name": blob[name_at + 2:name_end],
                  "dim": blob[dim_at:dim_at + 8]}
         assert old in parts[part]
         parts[part] = parts[part].replace(old, new, 1)
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(
-            blob[:head] + struct.pack("<I", len(parts["config"])) + parts["config"]
+            blob[:HEAD] + struct.pack("<I", len(parts["config"])) + parts["config"]
             + blob[text_end:name_at] + struct.pack("<H", len(parts["name"])) + parts["name"]
             + blob[name_end:dim_at] + parts["dim"] + blob[dim_at + 8:]
         )
         # A corrupt shape must be refused before it sizes an allocation.
         tracemalloc.start()
         try:
-            with pytest.raises(DataError, match=re.escape(str(path))):
-                load_checkpoint(path)
+            self.refused(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_corrupt_config_length_sizes_no_allocation(self, tmp_path):
+    def test_bytes_after_last_tensor_rejected(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        path = tmp_path / "trailing.ckpt"
+        path.write_bytes(blob + b"\x00")
+        self.refused(path)
+
+    def test_appended_copy_of_last_tensor_rejected(self, tmp_path):
+        blob, count_at = self.saved(tmp_path)
         model = ByteLM(tiny_config(), Rng(1))
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(good, model, AdamState(model), Rng(2))
-        blob = good.read_bytes()
-        head = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
+        name, arr = checkpoint_module._tensors(model, AdamState(model))[-1]
+        last = io.BytesIO()
+        checkpoint_module._write_tensor(last, name, arr)
+        assert blob.endswith(last.getvalue())
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        path = tmp_path / "duplicate.ckpt"
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4:]
+                         + last.getvalue())
+        self.refused(path)
+
+    def test_wrong_precision_flag_rejected(self, tmp_path):
+        blob, count_at = self.saved(tmp_path, precision=32)
+        name_at = count_at + 4
+        (name_len,) = struct.unpack_from("<H", blob, name_at)
+        ndim_at = name_at + 2 + name_len
+        bits_at = ndim_at + 1 + 8 * blob[ndim_at]
+        assert blob[bits_at] == 32
+        path = tmp_path / "precision.ckpt"
+        path.write_bytes(blob[:bits_at] + bytes([64]) + blob[bits_at + 1:])
+        self.refused(path)
+
+    def test_corrupt_config_length_sizes_no_allocation(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
         path = tmp_path / "long-config.ckpt"
-        path.write_bytes(blob[:head] + struct.pack("<I", 64 * 2**20) + blob[head + 4:])
+        path.write_bytes(blob[:HEAD] + struct.pack("<I", 64 * 2**20) + blob[HEAD + 4:])
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="truncated"):

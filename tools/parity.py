@@ -15,6 +15,10 @@ JSON file holding a sha256 of each artifact:
   config in ``RUNS``;
 - the stdout, metrics and checkpoint of a default-settings
   ``train --steps 2`` run;
+- for each of those checkpoints, a ``<run>.reload`` digest of the file
+  that checkout's ``load_checkpoint`` and ``save_checkpoint`` write back
+  from it, run in a subprocess like the commands: equal to the run's
+  ``.checkpoint`` digest when the reader returns every array bit for bit;
 - the ``bench`` agreement line;
 - the stdout and CSV of a default-settings ``decay`` run;
 - the stdout of ``compare`` over the ``COMPARED`` runs' float64 metrics.
@@ -23,10 +27,12 @@ The same file holds the per-step losses of a 50-step float64 run of
 each config in ``RUNS``. Every run trains on one corpus generated here
 from a fixed seed, so two probes see the same bytes.
 
-``--compare`` reports every digest and every loss series that differs.
-Without ``--rtol`` any difference fails the comparison (exit 1). With
-``--rtol`` the loss series are compared to that relative tolerance and
-only they decide the exit status: digest differences are still listed.
+``--compare`` reports every digest and every loss series that differs,
+and every ``.reload`` digest that differs from its ``.checkpoint`` digest
+in the same file. Without ``--rtol`` any of these fails the comparison
+(exit 1). With ``--rtol`` the loss series are compared to that relative
+tolerance and only they and the ``.reload`` checks decide the exit
+status: digest differences between the files are still listed.
 Digests depend on the host, because OpenBLAS picks its kernels per CPU,
 so compare only files written on one machine.
 """
@@ -112,6 +118,16 @@ class Probe:
                               env=self.env, capture_output=True)
         return f"exit {proc.returncode}\n".encode() + proc.stdout
 
+    def reload(self, checkpoint: Path) -> str:
+        """Digest of ``checkpoint`` once this checkout loads it and saves it back."""
+        again = checkpoint.with_suffix(".reload.ckpt")
+        code = ("import sys; from rope_kit.harness import load_checkpoint, save_checkpoint; "
+                "model, adam, rng, _ = load_checkpoint(sys.argv[1]); "
+                "save_checkpoint(sys.argv[2], model, adam, rng)")
+        subprocess.run([sys.executable, "-c", code, str(checkpoint), str(again)], cwd=self.work,
+                       env=self.env, capture_output=True)
+        return file_digest(again)
+
     def train(self, name: str, flags: tuple, steps: int, precision: int) -> tuple[Path, Path]:
         metrics = self.work / f"{name}.{precision}.csv"
         checkpoint = self.work / f"{name}.{precision}.ckpt"
@@ -139,11 +155,13 @@ def probe(tree: Path) -> dict:
             metrics, checkpoint = p.train(name, flags, DIGEST_STEPS, 32)
             digests[f"{name}.metrics"] = file_digest(metrics)
             digests[f"{name}.checkpoint"] = file_digest(checkpoint)
+            digests[f"{name}.reload"] = p.reload(checkpoint)
             losses[name] = read_losses(p.train(name, flags, LOSS_STEPS, 64)[0])
         stdout = p.run("train", "--corpus", str(p.corpus), "--steps", "2")
         digests["train-defaults.stdout"] = sha256(stdout)
         digests["train-defaults.metrics"] = file_digest(p.work / "train-rope.csv")
         digests["train-defaults.checkpoint"] = file_digest(p.work / "train-rope.ckpt")
+        digests["train-defaults.reload"] = p.reload(p.work / "train-rope.ckpt")
         bench = [line for line in p.run("bench", "--reps", "1").splitlines()
                  if line.startswith((b"outputs agree", b"FAIL"))]
         digests["bench.agreement"] = sha256(b"\n".join(bench))
@@ -163,6 +181,12 @@ def max_relative_difference(a: list[float], b: list[float]) -> float:
 def compare(a: dict, b: dict, rtol: float | None) -> int:
     """Print every difference; return the number that fail the comparison."""
     failing = 0
+    for probed in (a, b):
+        digests = probed["digests"]
+        for key in sorted(k for k in digests if k.endswith(".reload")):
+            if digests[key] != digests[key.removesuffix(".reload") + ".checkpoint"]:
+                print(f"{probed['tree']}: {key} differs from the checkpoint it was read from")
+                failing += 1
     for key in sorted(a["digests"].keys() | b["digests"].keys()):
         if a["digests"].get(key) != b["digests"].get(key):
             print(f"digest differs: {key}")
