@@ -193,7 +193,7 @@ def abel_single(q, k, m, n, enc: RotaryEncoder):
     return residual, bound_ok, score_residual
 
 
-def abel_identity_check(rng: Rng, trials: int, dims=(4, 64, 128)) -> AbelCheckReport:
+def abel_identity_check(rng: Rng, trials: int, dims) -> AbelCheckReport:
     """:func:`abel_single` on unit-scale gaussian pairs at positions <= 512,
     drawn TRIAL_CHUNK trials at a time."""
     if not dims:

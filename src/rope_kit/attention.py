@@ -27,7 +27,6 @@ path, so the two denominators are bit-identical by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ from .rotary import RotaryEncoder, apply_rotary_rows
 
 __all__ = [
     "LinearAttentionParts",
-    "causal_mask",
     "softmax_attention",
     "shaw_score_bias",
     "linear_attention",
@@ -65,17 +63,13 @@ POS_ENCODINGS = ("rope", "sinusoidal", "learned", "shaw", "none")
 # the causal linear numerator (see softmax_attention and _linear_core).
 _CHUNK = 64
 
-
-@functools.lru_cache(maxsize=1)
-def causal_mask(seq: int) -> np.ndarray:
-    """Read-only (seq, seq) bool, True where key position <= query position.
-
-    The mask of the most recent length is kept, so a model at a fixed
-    context builds it once.
-    """
-    mask = np.tril(np.ones((seq, seq), dtype=bool))
-    mask.setflags(write=False)
-    return mask
+# Read-only (_CHUNK, _CHUNK) bools: _TRIL is True where key position <=
+# query position, _FUTURE where it is after. A block or chunk of n
+# positions slices the leading (n, n).
+_TRIL = np.tril(np.ones((_CHUNK, _CHUNK), dtype=bool))
+_FUTURE = ~_TRIL
+_TRIL.setflags(write=False)
+_FUTURE.setflags(write=False)
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> int:
@@ -165,7 +159,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             probs *= scale
         _check_finite(probs, "softmax_attention scores")
         if causal:
-            np.copyto(probs[..., r0:], -np.inf, where=~causal_mask(_CHUNK)[:r1 - r0, :r1 - r0])
+            np.copyto(probs[..., r0:], -np.inf, where=_FUTURE[:r1 - r0, :r1 - r0])
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
@@ -291,7 +285,7 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
             size = min(_CHUNK, seq)
             chunks = -(-seq // _CHUNK)
             q, k, vals = (_chunked(a, chunks, size) for a in (q, k, vals))
-            mask = causal_mask(size)
+            mask = _TRIL[:size, :size]
             scores = (q @ _swap(k)) * mask
             states = _swap(k) @ vals
             prefix = np.zeros_like(states)

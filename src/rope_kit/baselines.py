@@ -4,8 +4,8 @@ Three baselines: the fixed sinusoidal table, a trainable absolute
 embedding table, and clipped-relative key embeddings for causal
 attention (one row per offset 0..radius). The two trainable ones are
 ``Parameter`` subclasses, so a model registers, trains and checkpoints
-them as they are. The additive ones share a tiny protocol (``rows(seq)``)
-so injection into a sequence is one call regardless of variant.
+them as they are. An additive encoding enters a sequence as its
+(seq, dim) rows, through :func:`additive_inject`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .numerics import Parameter, Rng, Tensor, take_rows
 
 __all__ = [
     "sinusoidal_encoding",
-    "SinusoidalTable",
     "LearnedAbsolute",
     "ShawRelative",
     "additive_inject",
@@ -42,23 +41,6 @@ def sinusoidal_encoding(position, dim: int) -> np.ndarray:
     out[..., 0::2] = np.sin(angle)
     out[..., 1::2] = np.cos(angle)
     return out
-
-
-class SinusoidalTable:
-    """Sinusoidal rows of the most recent sequence length, rebuilt when it changes."""
-
-    def __init__(self, dim: int):
-        if dim < 2 or dim % 2 != 0:
-            raise ConfigurationError(f"sinusoidal dim must be even and >= 2, got {dim}")
-        self.dim = dim
-        self._rows: np.ndarray | None = None
-
-    def rows(self, seq: int) -> np.ndarray:
-        if self._rows is None or len(self._rows) != seq:
-            rows = sinusoidal_encoding(np.arange(seq), self.dim)
-            rows.setflags(write=False)
-            self._rows = rows
-        return self._rows
 
 
 class LearnedAbsolute(Parameter):
@@ -103,19 +85,17 @@ class ShawRelative(Parameter):
                          dtype=dtype)
 
 
-def additive_inject(x: Tensor, encoding) -> Tensor:
+def additive_inject(x: Tensor, rows) -> Tensor:
     """x_i + p_i over the sequence axis (second-to-last).
 
-    ``encoding`` is a SinusoidalTable, LearnedAbsolute, or anything with
-    ``rows(seq)``; constant tables stay off the gradient tape, learned
-    tables join it.
+    ``rows`` holds the (seq, dim) vectors p_i of x's last two axes. An
+    array (the sinusoidal rows) stays off the gradient tape; a Tensor
+    (the learned rows) joins it.
     """
-    seq = x.data.shape[-2]
-    rows = encoding.rows(seq)
     if not isinstance(rows, Tensor):
-        rows = Tensor(np.asarray(rows).astype(x.data.dtype, copy=False))
-    if rows.data.shape[-1] != x.data.shape[-1]:
+        rows = Tensor(rows, dtype=x.data.dtype)
+    if rows.data.shape != x.data.shape[-2:]:
         raise DimensionError(
-            f"encoding dim {rows.data.shape[-1]} != input dim {x.data.shape[-1]}"
+            f"position rows of shape {rows.data.shape} do not fit input {x.data.shape}"
         )
     return x + rows

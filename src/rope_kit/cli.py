@@ -130,7 +130,7 @@ def _suite_decay(rng: Rng, dims, trials: int):
 
 
 def _suite_abel(rng: Rng, dims, trials: int):
-    report = analysis.abel_identity_check(rng, trials)
+    report = analysis.abel_identity_check(rng, trials, dims)
     ok = (
         report.max_identity_residual < 1e-10
         and report.bound_violations == 0
@@ -331,6 +331,8 @@ def _load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in TRAIN_KEYS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigurationError(f"{path}:{lineno}: key {key!r} is given twice")
             try:
                 values[key] = TRAIN_KEYS[key](value)
             except ValueError:
@@ -379,7 +381,7 @@ def cmd_train(args) -> int:
     print(f"seed: {train_config.seed}")
     print(f"model: {model_config}")
     model = ByteLM(model_config, Rng(train_config.seed))
-    print(f"parameters: {model.parameter_count()}")
+    print(f"parameters: {model_config.parameter_count}")
     metrics = train(model, train_config)
     print(f"initial loss: {metrics[0][1]:.4f}")
     print(f"final loss: {metrics[-1][1]:.4f} ({metrics[-1][0]} steps)")

@@ -23,12 +23,13 @@ reads each tensor, in file order, straight into its array, so a resumed
 run continues the exact trajectory of an uninterrupted one. A file is
 refused when a config key repeats, when its tensor count or a tensor's
 name, shape or precision differs from that model's, or when bytes
-follow the last tensor; every length read from the file is compared
-with the bytes left in it before anything is allocated for it. Saving
-writes a temporary file beside the target and renames it over the
-target, so a failed save leaves the previous checkpoint as it was; the
-temporary file is synced to disk before the rename, so a crash after it
-cannot leave an empty file under the target name.
+follow the last tensor; every length read from the file, and the
+tensor bytes of the config's model, are compared with the bytes left in
+it before anything is allocated for them. Saving writes a temporary
+file beside the target and renames it over the target, so a failed
+save leaves the previous checkpoint as it was; the temporary file is
+synced to disk before the rename, so a crash after it cannot leave an
+empty file under the target name.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ def load_checkpoint(path):
             (state,) = struct.unpack("<Q", _read_exact(fh, 8))
             (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
             config = ModelConfig.from_text(_read_exact(fh, config_len).decode("utf-8"))
+            need = 3 * config.parameter_count * config.precision // 8  # parameters, m, v
+            if need > _bytes_left(fh):
+                raise DataError(f"its config's model needs {need} bytes of tensors, "
+                                f"{_bytes_left(fh)} are left")
             model = ByteLM(config, _ZeroInit())
             adam = AdamState(model, step=step)
             tensors = _tensors(model, adam)

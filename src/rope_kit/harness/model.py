@@ -20,7 +20,7 @@ from ..attention import (
     shaw_score_bias,
     softmax_attention,
 )
-from ..baselines import LearnedAbsolute, ShawRelative, SinusoidalTable, additive_inject
+from ..baselines import LearnedAbsolute, ShawRelative, additive_inject, sinusoidal_encoding
 from ..errors import ConfigurationError
 from ..numerics import (
     Parameter,
@@ -67,6 +67,10 @@ class ModelConfig:
             raise ConfigurationError(
                 f"rotary encoding needs an even head_dim, got {self.head_dim}"
             )
+        if self.pos_encoding == "sinusoidal" and self.d_model % 2 != 0:
+            raise ConfigurationError(
+                f"sinusoidal encoding needs an even d_model, got {self.d_model}"
+            )
         if self.context_len < 2:
             raise ConfigurationError(f"context_len must be >= 2, got {self.context_len}")
         if self.pos_encoding == "shaw" and self.attention_variant != "softmax":
@@ -81,6 +85,15 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
+
+    @property
+    def parameter_count(self) -> int:
+        """Floats in the parameters of the ByteLM this config builds."""
+        d = self.d_model
+        layer = 2 * d + 4 * d * d + 2 * FFN_MULT * d * d  # two gains, q/k/v/o, the ffn
+        position = {"learned": self.context_len * d,
+                    "shaw": (SHAW_CLIP_RADIUS + 1) * self.head_dim}.get(self.pos_encoding, 0)
+        return 2 * self.vocab * d + position + self.layers * layer + d
 
     def to_text(self) -> str:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
@@ -107,7 +120,6 @@ class ByteLM:
         d, hd = config.d_model, config.head_dim
 
         self.rotary = RotaryEncoder(hd) if config.pos_encoding == "rope" else None
-        self.sinusoidal = SinusoidalTable(d) if config.pos_encoding == "sinusoidal" else None
 
         self.params: list[Parameter] = []
         self._matrix("wte", rng, (config.vocab, d))
@@ -142,9 +154,6 @@ class ByteLM:
     def _gain(self, name: str, d: int) -> None:
         self.params.append(Parameter(name, np.ones(d), dtype=self.dtype))
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params)
-
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
@@ -166,10 +175,12 @@ class ByteLM:
             raise ConfigurationError(f"sequence {seq} exceeds context {cfg.context_len}")
 
         h = take_rows(self._p("wte"), x_tokens)
-        if self.sinusoidal is not None:
-            h = additive_inject(h, self.sinusoidal)
+        if cfg.pos_encoding == "sinusoidal":
+            # Built per call, not per model: a table for the whole context
+            # would let a checkpoint's context_len size an allocation at load.
+            h = additive_inject(h, sinusoidal_encoding(np.arange(seq), cfg.d_model))
         elif self.learned is not None:
-            h = additive_inject(h, self.learned)
+            h = additive_inject(h, self.learned.rows(seq))
 
         for i in range(cfg.layers):
             a = rmsnorm(h, self._p(f"layer{i}.attn_norm"))

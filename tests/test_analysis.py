@@ -208,7 +208,7 @@ class TestAbelIdentity:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_driver_refuses_no_trials(self, trials):
         with pytest.raises(ConfigurationError):
-            abel_identity_check(Rng(36), trials=trials)
+            abel_identity_check(Rng(36), trials=trials, dims=(4,))
 
     def test_driver_refuses_no_dims(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rope_kit.attention import (
-    causal_mask,
     feature_map_pair,
     linear_attention,
     linear_attention_parts,
@@ -19,7 +18,7 @@ from rope_kit.attention import (
     similarity_attention,
     softmax_attention,
 )
-from rope_kit.attention import _CHUNK, _linear_core
+from rope_kit.attention import _CHUNK, _FUTURE, _TRIL, _linear_core
 from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
@@ -36,6 +35,11 @@ def elu1(x):
 def softmax_vec(x):
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+def causal_mask(seq):
+    """(seq, seq) bool, True where key position <= query position."""
+    return np.tril(np.ones((seq, seq), dtype=bool))
 
 
 def rand_qkv(rng, seq, dim):
@@ -373,12 +377,10 @@ class TestQueryBlocks:
         np.testing.assert_array_equal(out[100:], np.repeat(v[100:101], seq - 100, axis=0))
 
 
-def test_causal_mask_is_one_read_only_memo():
-    mask = causal_mask(7)
-    assert causal_mask(7) is mask
-    assert not mask.flags.writeable
-    np.testing.assert_array_equal(mask, np.tril(np.ones((7, 7), dtype=bool)))
-    assert causal_mask(3).shape == (3, 3)
+def test_causal_constants_are_read_only():
+    np.testing.assert_array_equal(_TRIL, causal_mask(_CHUNK))
+    np.testing.assert_array_equal(_FUTURE, ~causal_mask(_CHUNK))
+    assert not _TRIL.flags.writeable and not _FUTURE.flags.writeable
 
 
 class TestShawBias:

@@ -8,11 +8,10 @@ import pytest
 from rope_kit.baselines import (
     LearnedAbsolute,
     ShawRelative,
-    SinusoidalTable,
     additive_inject,
     sinusoidal_encoding,
 )
-from rope_kit.errors import ConfigurationError, LengthError
+from rope_kit.errors import ConfigurationError, DimensionError, LengthError
 from rope_kit.numerics import Rng, Tensor
 
 
@@ -44,14 +43,6 @@ class TestSinusoidal:
             sinusoidal_encoding(0, 3)
         with pytest.raises(ConfigurationError):
             sinusoidal_encoding(-1, 4)
-
-    def test_table_matches_function_and_grows(self):
-        table = SinusoidalTable(8)
-        for seq in (4, 20, 4):
-            rows = table.rows(seq)
-            assert rows.shape == (seq, 8) and not rows.flags.writeable
-            for k in range(seq):
-                np.testing.assert_array_equal(rows[k], sinusoidal_encoding(k, 8))
 
     def test_position_array_stacks_scalar_calls(self):
         positions = np.array([[0, 3], [19, 250]])
@@ -91,36 +82,41 @@ class TestShawClip:
 
 class TestAdditiveInject:
     def test_zero_encoding_is_identity(self):
-        class Zero:
-            def rows(self, seq):
-                return np.zeros((seq, 4))
-
         x = Rng(2).normal_array((3, 4))
-        np.testing.assert_array_equal(additive_inject(Tensor(x), Zero()).data, x)
+        np.testing.assert_array_equal(additive_inject(Tensor(x), np.zeros((3, 4))).data, x)
 
     def test_zero_input_returns_encoding(self):
-        table = SinusoidalTable(4)
-        out = additive_inject(Tensor(np.zeros((3, 4))), table)
-        np.testing.assert_array_equal(out.data, table.rows(3))
+        rows = sinusoidal_encoding(np.arange(3), 4)
+        out = additive_inject(Tensor(np.zeros((3, 4))), rows)
+        np.testing.assert_array_equal(out.data, rows)
 
     def test_rowwise_composition(self):
-        table = SinusoidalTable(4)
         x = Rng(3).normal_array((3, 4))
-        out = additive_inject(Tensor(x), table)
+        out = additive_inject(Tensor(x), sinusoidal_encoding(np.arange(3), 4))
         for i in range(3):
             np.testing.assert_allclose(out.data[i], x[i] + sinusoidal_encoding(i, 4), atol=1e-15)
 
     def test_linear_in_input(self):
-        table = SinusoidalTable(4)
+        rows = sinusoidal_encoding(np.arange(3), 4)
         x = Rng(4).normal_array((3, 4))
         y = Rng(5).normal_array((3, 4))
-        lhs = additive_inject(Tensor(x + y), table).data + table.rows(3)
-        rhs = additive_inject(Tensor(x), table).data + additive_inject(Tensor(y), table).data
+        lhs = additive_inject(Tensor(x + y), rows).data + rows
+        rhs = additive_inject(Tensor(x), rows).data + additive_inject(Tensor(y), rows).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_broadcast_over_batch(self):
-        table = SinusoidalTable(4)
+        rows = sinusoidal_encoding(np.arange(3), 4)
         x = Rng(6).normal_array((2, 3, 4))
-        out = additive_inject(Tensor(x), table)
+        out = additive_inject(Tensor(x), rows)
         for b in range(2):
-            np.testing.assert_allclose(out.data[b], x[b] + table.rows(3), atol=1e-15)
+            np.testing.assert_allclose(out.data[b], x[b] + rows, atol=1e-15)
+
+    def test_array_rows_take_the_input_dtype(self):
+        x = Tensor(np.ones((3, 4), dtype=np.float32))
+        assert additive_inject(x, sinusoidal_encoding(np.arange(3), 4)).data.dtype == np.float32
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 4), (3, 2), (2, 3, 4)])
+    def test_rows_of_another_shape_rejected(self, shape):
+        # A (1, dim) row would otherwise broadcast over every position.
+        with pytest.raises(DimensionError, match="do not fit"):
+            additive_inject(Tensor(np.zeros((2, 3, 4))), np.ones(shape))

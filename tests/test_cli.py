@@ -7,6 +7,7 @@ import pytest
 
 from rope_kit import analysis, attention, cli, rotary
 from rope_kit.harness import ModelConfig
+from rope_kit.numerics import Rng
 
 
 def run_cli(*argv):
@@ -25,7 +26,7 @@ class TestExitCodes:
         assert run_cli("verify", "--trials", "257") == 0
         out = capsys.readouterr().out
         assert "all 9 suites passed" in out
-        assert "(771 draws)" in out
+        assert "(1028 draws)" in out  # 257 trials at each of the 4 default dims
 
     @pytest.mark.parametrize("seed", ["0", "42", "2104"])
     def test_verify_defaults_pass(self, seed, capsys):
@@ -33,7 +34,7 @@ class TestExitCodes:
         assert cli.main(["verify", "--seed", seed]) == 0
         out = capsys.readouterr().out
         assert out.count(" PASS ") == 9 and "FAIL" not in out
-        assert "(3000 draws)" in out
+        assert "(4000 draws)" in out
 
     def test_verify_peak_memory(self, capsys):
         tracemalloc.start()
@@ -68,6 +69,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert 0 < calls["rope_score"] <= 60
         assert 0 < calls["sim"] <= 170
+
+    def test_abel_suite_checks_the_given_dims(self):
+        ok, detail = cli._suite_abel(Rng(0), (8,), 10)
+        assert ok and detail.endswith("(10 draws)")
 
     def test_verify_odd_dims_usage_error(self, capsys):
         assert run_cli("verify", "--dims", "3") == 2
@@ -211,6 +216,12 @@ class TestTrainCommand:
         config = tmp_path / "bad.cfg"
         config.write_text("momentum=0.9\n")
         assert run_cli("train", "--config", str(config)) == 2
+
+    def test_config_file_repeated_key(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("steps=1\nbatch_size=2\nsteps=2\n")
+        assert run_cli("train", "--config", str(config)) == 2
+        assert f"{config}:3: key 'steps' is given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["steps=abc", "lr=fast", "precision=16", "variant=alibi"])
     def test_config_file_bad_value(self, tmp_path, line, capsys):

@@ -90,6 +90,10 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError, match="needs an even head_dim, got 21"):
             ModelConfig(d_model=63, heads=3, pos_encoding="rope")
 
+    def test_odd_d_model_with_sinusoidal_rejected(self):
+        with pytest.raises(ConfigurationError, match="needs an even d_model, got 15"):
+            ModelConfig(d_model=15, heads=3, pos_encoding="sinusoidal")
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown attention variant 'quadratic'"):
             ModelConfig(attention_variant="quadratic")
@@ -142,9 +146,12 @@ class TestBuildModel:
         b = ByteLM(tiny_config(), Rng(8))
         assert not np.array_equal(a.params[0].data, b.params[0].data)
 
-    def test_parameter_count_positive(self):
-        model = ByteLM(tiny_config(), Rng(0))
-        assert model.parameter_count() == sum(p.data.size for p in model.params)
+    @pytest.mark.parametrize("precision", [32, 64])
+    @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
+    def test_parameter_count_from_config(self, pos_encoding, precision):
+        config = tiny_config(layers=2, pos_encoding=pos_encoding, precision=precision)
+        model = ByteLM(config, Rng(0))
+        assert config.parameter_count == sum(p.data.size for p in model.params) > 0
 
     @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
     def test_initial_loss_near_uniform(self, pos_encoding):
@@ -193,6 +200,34 @@ class TestBuildModel:
         gradient = model.by_name["pos_shaw"].gradient
         assert gradient.shape == (SHAW_CLIP_RADIUS + 1, config.head_dim)
         assert np.abs(gradient).max(axis=1).all()
+
+    @pytest.mark.parametrize("precision", [32, 64])
+    @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
+    def test_short_sequence_matches_shorter_context(self, pos_encoding, precision):
+        # An 8-token batch scores the same under context 16 as under
+        # context 8: loss and every gradient agree bit for bit.
+        long = ByteLM(tiny_config(context_len=16, pos_encoding=pos_encoding,
+                                  precision=precision), Rng(21))
+        short = ByteLM(tiny_config(context_len=8, pos_encoding=pos_encoding,
+                                   precision=precision), Rng(21))
+        if pos_encoding == "learned":
+            # Its table has one row per position of the context, so the
+            # two models draw different parameters from one seed.
+            for p in short.params:
+                p.data[...] = long.by_name[p.name].data[:len(p.data)]
+        for p in short.params:
+            assert p.data.tobytes() == long.by_name[p.name].data[:len(p.data)].tobytes()
+        tokens = Rng(22).randint_array(256, 2 * 9).reshape(2, 9)
+        losses = []
+        for model in (long, short):
+            loss = model.loss(tokens[:, :-1], tokens[:, 1:])
+            loss.backward()
+            losses.append(loss.data)
+        assert losses[0].tobytes() == losses[1].tobytes()
+        for p in short.params:
+            grad = long.by_name[p.name].gradient
+            assert grad[:len(p.data)].tobytes() == p.gradient.tobytes(), p.name
+            assert not grad[len(p.data):].any(), p.name
 
     def test_shaw_memory_peak_matches_no_bias(self):
         # The clipped relative bias adds a (seq, 16) band per head,
@@ -416,10 +451,11 @@ class TestCheckpoint:
         ("config", b"d_model", b"d_\xffmodel"),
         ("config", b"heads=2", b"heads=2\nheads=4"),
         ("config", b"pos_encoding=learned", b"pos_encoding=rope"),
+        ("config", b"d_model=16", b"d_model=512"),
         ("name", b"wte", b"\xffte"),
         ("dim", struct.pack("<Q", 256), struct.pack("<Q", 2**31)),
     ], ids=["line-without-equals", "unknown-key", "non-integer-value",
-            "config-not-utf8", "repeated-key", "learned-read-as-rope",
+            "config-not-utf8", "repeated-key", "learned-read-as-rope", "d_model-16-read-as-512",
             "name-not-utf8", "first-dim-2**31"])
     def test_corrupt_contents_rejected(self, tmp_path, part, old, new):
         blob, text_end = self.saved(tmp_path, pos_encoding="learned")
@@ -437,7 +473,7 @@ class TestCheckpoint:
             + blob[text_end:name_at] + struct.pack("<H", len(parts["name"])) + parts["name"]
             + blob[name_end:dim_at] + parts["dim"] + blob[dim_at + 8:]
         )
-        # A corrupt shape must be refused before it sizes an allocation.
+        # A corrupt shape or config must be refused before it sizes an allocation.
         tracemalloc.start()
         try:
             self.refused(path)

@@ -10,7 +10,9 @@ A probe runs the ``rope-kit`` commands of the checkout at ``--tree``
 PYTHONPATH and one BLAS thread, in a temporary directory, and writes one
 JSON file holding a sha256 of each artifact:
 
-- the ``verify`` tables at seeds 0, 42 and 2104, with suite times masked;
+- the ``verify`` tables at seeds 0, 42 and 2104, and the ``verify.dims``
+  table of ``verify --seed 0 --dims 8,16 --trials 50``, with suite times
+  masked;
 - the metrics and checkpoint bytes of a 15-step float32 run of each
   config in ``RUNS``;
 - the stdout, metrics and checkpoint of a default-settings
@@ -151,6 +153,8 @@ def probe(tree: Path) -> dict:
         for seed in VERIFY_SEEDS:
             table = p.run("verify", "--seed", str(seed))
             digests[f"verify.seed{seed}"] = sha256(SUITE_TIME.sub(b"[time]", table))
+        table = p.run("verify", "--seed", "0", "--dims", "8,16", "--trials", "50")
+        digests["verify.dims"] = sha256(SUITE_TIME.sub(b"[time]", table))
         for name, flags in RUNS.items():
             metrics, checkpoint = p.train(name, flags, DIGEST_STEPS, 32)
             digests[f"{name}.metrics"] = file_digest(metrics)
