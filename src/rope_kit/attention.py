@@ -35,8 +35,8 @@ import numpy as np
 from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
-    Tensor, _as_tensor, _check_finite, as_array, elu_plus_one, exp, softmax_rows,
-    tape_op,
+    Tensor, _as_tensor, _check_finite, _row_dot, _row_sum, as_array, elu_plus_one, exp,
+    softmax_rows, tape_op,
 )
 from .rotary import RotaryEncoder, apply_rotary_rows
 
@@ -162,7 +162,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             np.copyto(probs[..., r0:], -np.inf, where=_FUTURE[:r1 - r0, :r1 - r0])
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs /= _row_sum(probs)[..., None]
         probs.setflags(write=False)
         np.matmul(probs, v.data[..., :keys, :], out=out[..., r0:r1, :])
         blocks.append(probs)
@@ -176,7 +176,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             g_rows = g[..., r0:r1, :]
             d_scores = g_rows @ _swap(v.data[..., :keys, :])
             d_v_keys = _swap(probs) @ g_rows
-            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores -= _row_dot(d_scores, probs)[..., None]
             d_scores *= probs
             d_scores *= scale
             np.matmul(d_scores, k.data[..., :keys, :], out=d_q[..., r0:r1, :])
@@ -215,7 +215,7 @@ def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
     scores = q.data @ shaw.data.T
 
     def grad_fn(g):
-        d_scores = np.concatenate([g, -g.sum(axis=-1, keepdims=True)], axis=-1)
+        d_scores = np.concatenate([g, -_row_sum(g)[..., None]], axis=-1)
         return (d_scores @ shaw.data,
                 d_scores.reshape(-1, d_scores.shape[-1]).T @ q.data.reshape(-1, dim))
 
@@ -306,7 +306,7 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
 
     def grad_fn(g):
         g_num = g / den[..., None]
-        g_den = -(g * out_data).sum(axis=-1) / den
+        g_den = -_row_dot(g, out_data) / den
         if causal:
             g_num = _chunked(g_num, chunks, size)
             d_scores = (g_num @ _swap(vals)) * mask

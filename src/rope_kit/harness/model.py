@@ -50,7 +50,7 @@ class ModelConfig:
     attention_variant: str = "softmax"
     pos_encoding: str = "rope"
     precision: int = 32
-    vocab: int = 256  # raw bytes
+    vocab: int = 256  # raw bytes; no other value is accepted
 
     def __post_init__(self):
         if self.d_model < 1 or self.heads < 1 or self.layers < 1:
@@ -79,8 +79,8 @@ class ModelConfig:
             )
         if self.precision not in (32, 64):
             raise ConfigurationError(f"precision must be 32 or 64, got {self.precision}")
-        if self.vocab < 2:
-            raise ConfigurationError(f"vocab must be >= 2, got {self.vocab}")
+        if self.vocab != 256:
+            raise ConfigurationError(f"vocab must be 256, one row per byte, got {self.vocab}")
 
     @property
     def head_dim(self) -> int:

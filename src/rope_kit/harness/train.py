@@ -6,6 +6,14 @@ round-trippable floats, so reruns produce byte-identical artifacts and a
 checkpoint resume continues the exact same trajectory. A resume into the
 run's own metrics file appends to it, so the file ends up byte-identical
 to that of an uninterrupted run.
+
+A step's loss and backward run with the tape's per-op finiteness checks
+off. The step then checks its loss and its global gradient norm, summed
+in float64. If either is not finite, or the pass raised ``NumericError``,
+the step is replayed on the same batch with every forward output and
+every gradient checked, and the replay's error, prefixed with the step,
+is raised; the parameters, the Adam moments and the metrics rows of the
+earlier steps are left as they were.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DataError, NumericError
-from ..numerics import Rng
+from ..numerics import Rng, _finite_checks
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import METRICS_HEADER, read_metrics
 from .model import ByteLM
@@ -105,17 +113,30 @@ class AdamState:
 
 
 def adam_step(model: ByteLM, state: AdamState, lr: float) -> None:
+    """One Adam update in place, rounded as ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2`` and ``p -= (m / c1) lr / (sqrt(v / c2) + eps)``;
+    both moment terms and the step are built in one buffer per parameter."""
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for p in model.params:
         g = p.gradient
         m = state.m[p.name]
         v = state.v[p.name]
-        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data[...] -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype, copy=False)
+        buf = g * (1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += buf
+        np.divide(m, c1, out=buf)
+        buf *= lr
+        denominator = v / c2
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPS
+        buf /= denominator
+        p.data -= buf
 
 
 @functools.cache
@@ -146,6 +167,42 @@ def _sample_batch(corpus: Corpus, rng: Rng, batch_size: int, seq: int):
     return x, y
 
 
+def _loss_and_gradients(model: ByteLM, x: np.ndarray, y: np.ndarray) -> float:
+    model.zero_grad()
+    loss = model.loss(x, y)
+    loss.backward()
+    return loss.item()
+
+
+def _gradient_norm(model: ByteLM) -> float:
+    """The global gradient norm, each parameter's squares summed in float64."""
+    total = 0.0
+    for p in model.params:
+        if p.grad is not None:
+            g = p.grad.reshape(-1)
+            total += float(np.einsum("i,i->", g, g, dtype=np.float64))
+    return math.sqrt(total)
+
+
+def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> float:
+    """The step's loss, with finite gradients in the parameters, or a
+    ``NumericError`` naming the step (see the module docstring)."""
+    with np.errstate(all="ignore"):
+        try:
+            with _finite_checks(0):
+                value = _loss_and_gradients(model, x, y)
+            if math.isfinite(value) and math.isfinite(_gradient_norm(model)):
+                return value
+        except NumericError:
+            pass
+        try:
+            with _finite_checks(2):
+                _loss_and_gradients(model, x, y)
+        except NumericError as err:
+            raise NumericError(f"step {step}: {err}") from err
+    raise NumericError(f"step {step}: the loss or the gradient norm is not finite")
+
+
 def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
                config: TrainConfig, start_step: int) -> list[tuple[int, float]]:
     checkpoint_dir = os.path.dirname(os.fspath(config.checkpoint_path)) or "."
@@ -171,15 +228,8 @@ def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,
             fh.write(METRICS_HEADER + "\n")
         for step in range(start_step + 1, config.steps + 1):
             x, y = _sample_batch(corpus, rng, config.batch_size, seq)
-            model.zero_grad()
-            try:
-                loss = model.loss(x, y)
-                loss.backward()
-            except NumericError as err:
-                fh.flush()  # keep the partial metrics on divergence
-                raise NumericError(f"step {step}: {err}") from err
+            value = _checked_step(model, x, y, step)
             adam_step(model, adam, config.learning_rate)
-            value = float(loss.item())
             metrics.append((step, value))
             fh.write(f"{step},{value!r}\n")
     save_checkpoint(config.checkpoint_path, model, adam, rng)

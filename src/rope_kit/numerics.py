@@ -3,8 +3,13 @@
 Storage is a numpy array (float32 or float64); gradients are recorded
 micrograd-style, as per-op backward closures over whole tensors, and
 replayed in reverse topological order. Every op checks its output for
-NaN/Inf and raises ``NumericError`` instead of letting bad values
-propagate. Verification code runs in float64; training may use float32.
+NaN/Inf and raises ``NumericError`` naming itself instead of letting bad
+values propagate. A training step is the exception: it runs with these
+checks off and checks its loss and gradient norm once, and only a step
+that fails that check is replayed with every forward output and every
+gradient checked, so that its error names the op and the direction (see
+``harness.train``). Verification code runs in float64; training may use
+float32.
 A ``Parameter`` is a named leaf Tensor that requires a gradient; ops,
 ``grad_check`` and the optimizer take it as it is.
 
@@ -22,6 +27,7 @@ another tensor's ``grad``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -201,10 +207,39 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
+# What _check_finite checks: 1 (the default) every op's forward output, 0
+# nothing, 2 also every gradient an op's backward hands to a parent.
+_check_level = 1
+
+
+@contextlib.contextmanager
+def _finite_checks(level: int):
+    """Run the body at another finiteness-check level (see ``_check_level``)."""
+    global _check_level
+    saved, _check_level = _check_level, level
+    try:
+        yield
+    finally:
+        _check_level = saved
+
+
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if _check_level and not np.all(np.isfinite(arr)):
         raise NumericError(f"{op} produced non-finite values")
     return arr
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, ``x.shape[:-1]``: a product with a vector of
+    ones, which BLAS runs several times faster than numpy's reduction over
+    short rows."""
+    return x @ np.ones(x.shape[-1], x.dtype)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last-axis rows of ``a`` and ``b``, without the
+    ``a * b`` temporary."""
+    return np.einsum("...j,...j->...", a, b)
 
 
 class Tensor:
@@ -317,8 +352,9 @@ def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tens
 
     ``grad_fn(out_grad)`` must return a tuple with one gradient array per
     parent (``None`` to skip a parent). Gradient accumulation, requires_grad
-    propagation and finiteness checking are handled here so fused ops in
-    other modules only supply the math. A parent's first gradient is
+    propagation and finiteness checking (of the output, and at check level
+    2 of each gradient) are handled here so fused ops in other modules only
+    supply the math. A parent's first gradient is
     stored as is when ``grad_fn`` made it fresh for that parent (see the
     module docstring); any other first gradient is copied.
     """
@@ -340,6 +376,8 @@ def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tens
                     raise DimensionError(
                         f"{name}: gradient shape {g.shape} != value shape {parent.data.shape}"
                     )
+                if _check_level > 1:
+                    _check_finite(g, f"{name} backward")
                 if parent.grad is not None:
                     parent.grad += g
                 elif (isinstance(g, np.ndarray) and g.base is None and g is not out_grad
@@ -633,10 +671,10 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     else:
         row_max = logits.max(axis=-1, keepdims=True)
         weights = np.exp(logits - row_max)
-    weights = weights / weights.sum(axis=-1, keepdims=True)
+    weights = weights / _row_sum(weights)[..., None]
 
     def grad_fn(g):
-        dot = (g * weights).sum(axis=-1, keepdims=True)
+        dot = _row_dot(g, weights)[..., None]
         return (weights * (g - dot),)
 
     return tape_op(weights, (x,), grad_fn, name="softmax_rows")
@@ -658,7 +696,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     n, ids = len(rows), ids.reshape(-1)
     z = rows - rows.max(axis=1, keepdims=True)
     exp_z = np.exp(z)
-    norm = exp_z.sum(axis=1, keepdims=True)
+    norm = _row_sum(exp_z)[:, None]
     log_norm = np.log(norm[:, 0])
     picked = z[np.arange(n), ids]
     data = np.asarray((log_norm - picked).mean())
@@ -680,16 +718,16 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise DimensionError(f"gain shape {gain.data.shape} != ({d},)")
-    scale = 1.0 / np.sqrt((x.data**2).mean(axis=-1, keepdims=True) + 1e-5)
+    scale = 1.0 / np.sqrt((_row_dot(x.data, x.data) / d)[..., None] + 1e-5)
     normed = x.data * scale
     data = normed * gain.data
 
     def grad_fn(g):
         g_normed = g * gain.data
-        dot = (g_normed * x.data).sum(axis=-1, keepdims=True)
+        dot = _row_dot(g_normed, x.data)[..., None]
         gx = scale * (g_normed - (scale**2 / d) * x.data * dot)
-        ggain = (g * normed).reshape(-1, d).sum(axis=0)
-        return gx, ggain
+        rows = (g * normed).reshape(-1, d)
+        return gx, np.ones(len(rows), rows.dtype) @ rows
 
     return tape_op(data, (x, gain), grad_fn, name="rmsnorm")
 
@@ -706,8 +744,15 @@ def take_rows(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def grad_fn(g):
+        # Each id's rows summed as one segment of the rows sorted by id;
+        # the stable sort keeps each segment in gather order.
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, d))
+        flat = ids.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            sorted_ids = flat[order]
+            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+            gt[sorted_ids[starts]] = np.add.reduceat(g.reshape(-1, d)[order], starts, axis=0)
         return (gt,)
 
     return tape_op(data, (table,), grad_fn, name="take_rows")

@@ -35,6 +35,8 @@ from rope_kit.harness.model import SHAW_CLIP_RADIUS
 from rope_kit.numerics import Rng, grad_check
 
 checkpoint_module = importlib.import_module("rope_kit.harness.checkpoint")
+train_module = importlib.import_module("rope_kit.harness.train")
+numerics_module = importlib.import_module("rope_kit.numerics")
 
 HEAD = len(checkpoint_module.MAGIC) + 4 + 3 * 8  # magic, version, step, seed, state
 TINY = dict(d_model=16, heads=2, layers=1, context_len=8, precision=64)
@@ -113,6 +115,14 @@ class TestModelConfig:
     def test_text_roundtrip(self):
         config = tiny_config(pos_encoding="shaw")
         assert ModelConfig.from_text(config.to_text()) == config
+
+    @pytest.mark.parametrize("vocab", [100, 2, 257])
+    def test_vocab_other_than_bytes_rejected(self, vocab):
+        # The model reads raw bytes: a smaller table would fail at the
+        # first byte it cannot look up, outside the error model.
+        with pytest.raises(ConfigurationError, match="vocab must be 256"):
+            ModelConfig(vocab=vocab)
+        assert "vocab=256\n" in ModelConfig().to_text()
 
 
 class TestBuildModel:
@@ -350,6 +360,58 @@ class TestTraining:
         assert len(lines) >= 2  # at least one completed step survived
         assert not os.path.exists(config.checkpoint_path)
 
+    def test_non_finite_gradient_names_its_step_and_op(self, tmp_path, small_corpus,
+                                                        monkeypatch):
+        # From step 3 on, the FFN's GELU gradient is NaN. The step stops
+        # with the op that made it, before Adam reads it: the parameters
+        # and Adam moments are those after step 2, and steps 1-2 stay in
+        # the metrics file.
+        after = {}
+
+        def recording_adam_step(model, state, lr):
+            adam_step(model, state, lr)
+            after.update(step=state.step, params=[p.data.copy() for p in model.params],
+                         m={k: a.copy() for k, a in state.m.items()},
+                         v={k: a.copy() for k, a in state.v.items()}, model=model, adam=state)
+
+        def poisoned_gelu_backward(g, u, t):
+            out = gelu_backward(g, u, t)
+            if after.get("step", 0) >= 2:
+                out[...] = np.nan
+            return out
+
+        adam_step = train_module.adam_step
+        gelu_backward = numerics_module._gelu_backward
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        monkeypatch.setattr(numerics_module, "_gelu_backward", poisoned_gelu_backward)
+        config = run_config(tmp_path, small_corpus, "nan-grad", steps=6)
+        with pytest.raises(NumericError,
+                           match=r"^step 3: ffn backward produced non-finite values$") as err:
+            train_new(tiny_config(precision=32), config)
+        assert isinstance(err.value.__cause__, NumericError)
+        model, adam = after["model"], after["adam"]
+        assert adam.step == 2
+        for p, before in zip(model.params, after["params"]):
+            assert p.data.tobytes() == before.tobytes(), p.name
+            assert adam.m[p.name].tobytes() == after["m"][p.name].tobytes(), p.name
+            assert adam.v[p.name].tobytes() == after["v"][p.name].tobytes(), p.name
+        steps, _ = read_metrics(config.metrics_path)
+        np.testing.assert_array_equal(steps, [1, 2])
+        assert not os.path.exists(config.checkpoint_path)
+
+    def test_unnamed_non_finite_loss_still_stops_the_step(self, tmp_path, small_corpus,
+                                                          monkeypatch):
+        # A non-finite value that no op check sees (here a loss that the
+        # unchecked pass reads as inf) still stops the step before Adam.
+        calls = []
+        monkeypatch.setattr(train_module, "adam_step", lambda *args: calls.append(args))
+        monkeypatch.setattr(train_module, "_loss_and_gradients",
+                            lambda model, x, y: math.inf)
+        config = run_config(tmp_path, small_corpus, "inf-loss", steps=3)
+        with pytest.raises(NumericError, match=r"^step 1: the loss or the gradient norm"):
+            train_new(tiny_config(precision=32), config)
+        assert calls == []
+
 
 # Three 10-step ctx64 training calls in one process; prints each call's
 # minor page faults.
@@ -381,6 +443,35 @@ def test_training_reuses_freed_memory(tmp_path, small_corpus):
     faults = [int(line) for line in done.stdout.split()]
     assert len(faults) == 3
     assert faults[1] < 500 and faults[2] < 500, faults
+
+
+@pytest.mark.parametrize("precision", [32, 64])
+def test_adam_step_matches_textbook_update_bitwise(precision):
+    # In-place moments and one step buffer, with the rounding of the
+    # textbook expressions, over 5 steps of gradients from 1e-2 to 1e2.
+    config = tiny_config(precision=precision)
+    fast, plain = ByteLM(config, Rng(60)), ByteLM(config, Rng(60))
+    fast_state, plain_state = AdamState(fast), AdamState(plain)
+    rng = Rng(61)
+    lr = 3e-3
+    for t in range(1, 6):
+        for a, b in zip(fast.params, plain.params):
+            a.grad = rng.normal_array(a.shape, scale=10.0 ** (t - 3)).astype(a.dtype)
+            b.grad = a.grad.copy()
+        train_module.adam_step(fast, fast_state, lr)
+        for p in plain.params:
+            g, m, v = p.gradient, plain_state.m[p.name], plain_state.v[p.name]
+            m[:] = train_module.ADAM_BETA1 * m + (1.0 - train_module.ADAM_BETA1) * g
+            v[:] = train_module.ADAM_BETA2 * v + (1.0 - train_module.ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - train_module.ADAM_BETA1**t)
+            v_hat = v / (1.0 - train_module.ADAM_BETA2**t)
+            p.data[...] -= (lr * m_hat / (np.sqrt(v_hat) + train_module.ADAM_EPS)
+                            ).astype(p.data.dtype, copy=False)
+    assert fast_state.step == 5
+    for a, b in zip(fast.params, plain.params):
+        assert a.data.tobytes() == b.data.tobytes(), a.name
+        assert fast_state.m[a.name].tobytes() == plain_state.m[a.name].tobytes(), a.name
+        assert fast_state.v[a.name].tobytes() == plain_state.v[a.name].tobytes(), a.name
 
 
 class TestCheckpoint:

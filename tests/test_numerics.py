@@ -423,6 +423,67 @@ class TestElementwise:
         with pytest.raises(IndexError):
             take_rows(table, [4])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_rows_gradient_sums_repeated_ids(self, dtype):
+        # Each id's rows are summed in gather order: the result is within
+        # rounding of np.add.at, exact on integers, and an unused row is 0.
+        rng = Rng(48)
+        table = Parameter("t", rng.normal_array((9, 5)), dtype=dtype)
+        ids = rng.randint_array(8, 60).reshape(3, 20)
+        out = take_rows(table, ids)
+        grad = rng.normal_array(out.shape).astype(dtype)
+        tensor_sum(out * Tensor(grad)).backward()
+        expected = np.zeros((9, 5), dtype)
+        np.add.at(expected, ids.reshape(-1), grad.reshape(-1, 5))
+        np.testing.assert_allclose(table.gradient, expected, rtol=1e-5 if dtype == np.float32
+                                   else 1e-12, atol=0)
+        assert not table.gradient[8].any()
+
+    def test_take_rows_gradient_of_no_ids(self):
+        table = Parameter("t", np.ones((4, 3)))
+        out = take_rows(table, np.zeros((2, 0), dtype=np.int64))
+        assert out.shape == (2, 0, 3)
+        tensor_sum(out).backward()
+        np.testing.assert_array_equal(table.gradient, np.zeros((4, 3)))
+
+
+class TestRowReductions:
+    """The private row sums and row dots of the softmax, norm and loss ops."""
+
+    SHAPES = [(512, 32), (16, 64, 64), (512, 256), (3, 19)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_results_do_not_depend_on_memory_offset(self, shape, dtype):
+        # Every training step holds its arrays in fresh memory, so a rerun
+        # is bit-identical only if a row's sum does not depend on where
+        # the row sits. 16 element offsets inside one larger buffer.
+        rng = Rng(49)
+        size = math.prod(shape)
+        a = rng.normal_array(shape).astype(dtype)
+        b = rng.normal_array(shape).astype(dtype)
+        sums, dots = set(), set()
+        for offset in range(16):
+            buffer = np.empty(2 * size + 32, dtype)
+            x = buffer[offset:offset + size].reshape(shape)
+            y_offset = size + 16 + 7 * offset % 16
+            y = buffer[y_offset:y_offset + size].reshape(shape)
+            x[...], y[...] = a, b
+            sums.add(numerics._row_sum(x).tobytes())
+            dots.add(numerics._row_dot(x, y).tobytes())
+        assert len(sums) == 1 and len(dots) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_match_numpy_reductions(self, dtype):
+        rng = Rng(50)
+        a = rng.normal_array((4, 7, 33)).astype(dtype)
+        b = rng.normal_array((4, 7, 33)).astype(dtype)
+        rtol = 1e-5 if dtype == np.float32 else 1e-13
+        assert numerics._row_sum(a).dtype == numerics._row_dot(a, b).dtype == dtype
+        np.testing.assert_allclose(numerics._row_sum(a), a.sum(axis=-1), rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(numerics._row_dot(a, b), (a * b).sum(axis=-1), rtol=rtol,
+                                   atol=rtol)
+
 
 def leaf(values, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype), requires_grad=True)

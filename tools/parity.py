@@ -21,6 +21,10 @@ JSON file holding a sha256 of each artifact:
   that checkout's ``load_checkpoint`` and ``save_checkpoint`` write back
   from it, run in a subprocess like the commands: equal to the run's
   ``.checkpoint`` digest when the reader returns every array bit for bit;
+- a ``<run>.threads2`` digest of the checkpoint of the ``THREADS2`` run
+  repeated with two BLAS threads: equal to its ``.checkpoint`` digest
+  when training does not depend on the BLAS thread count, which the row
+  sums and products of a step go through;
 - the ``bench`` agreement line;
 - the stdout and CSV of a default-settings ``decay`` run;
 - the stdout of ``compare`` over the ``COMPARED`` runs' float64 metrics.
@@ -30,11 +34,12 @@ each config in ``RUNS``. Every run trains on one corpus generated here
 from a fixed seed, so two probes see the same bytes.
 
 ``--compare`` reports every digest and every loss series that differs,
-and every ``.reload`` digest that differs from its ``.checkpoint`` digest
-in the same file. Without ``--rtol`` any of these fails the comparison
-(exit 1). With ``--rtol`` the loss series are compared to that relative
-tolerance and only they and the ``.reload`` checks decide the exit
-status: digest differences between the files are still listed.
+and every ``.reload`` or ``.threads2`` digest that differs from its
+``.checkpoint`` digest in the same file. Without ``--rtol`` any of these
+fails the comparison (exit 1). With ``--rtol`` the loss series are
+compared to that relative tolerance and only they and the ``.reload`` and
+``.threads2`` checks decide the exit status: digest differences between
+the files are still listed.
 Digests depend on the host, because OpenBLAS picks its kernels per CPU,
 so compare only files written on one machine.
 """
@@ -76,6 +81,10 @@ RUNS = {
 }
 # compare tabulates 12 of the LOSS_STEPS rows of these runs.
 COMPARED = ("ctx64.rope-softmax", "ctx64.shaw-softmax")
+# Repeated with two BLAS threads for its .threads2 digest.
+THREADS2 = "ctx64.rope-softmax"
+# Digests that must equal the run's .checkpoint digest in the same file.
+SAME_AS_CHECKPOINT = (".reload", ".threads2")
 DIGEST_STEPS = 15
 LOSS_STEPS = 50
 WORDS = ("the of and a to in is was he for it with as his on be at by had not are but "
@@ -113,11 +122,13 @@ class Probe:
         self.corpus = work / "corpus.txt"
         self.corpus.write_bytes(corpus_bytes())
 
-    def run(self, *args: str) -> bytes:
-        """The command's stdout, prefixed by its exit status."""
+    def run(self, *args: str, threads: int = 1) -> bytes:
+        """The command's stdout, prefixed by its exit status, run with
+        ``threads`` BLAS threads."""
         code = "import sys; from rope_kit.cli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run([sys.executable, "-c", code, *args], cwd=self.work,
-                              env=self.env, capture_output=True)
+                              env=dict(self.env, OPENBLAS_NUM_THREADS=str(threads)),
+                              capture_output=True)
         return f"exit {proc.returncode}\n".encode() + proc.stdout
 
     def reload(self, checkpoint: Path) -> str:
@@ -130,12 +141,14 @@ class Probe:
                        env=self.env, capture_output=True)
         return file_digest(again)
 
-    def train(self, name: str, flags: tuple, steps: int, precision: int) -> tuple[Path, Path]:
-        metrics = self.work / f"{name}.{precision}.csv"
-        checkpoint = self.work / f"{name}.{precision}.ckpt"
+    def train(self, name: str, flags: tuple, steps: int, precision: int,
+              threads: int = 1) -> tuple[Path, Path]:
+        stem = f"{name}.{precision}" + (f".threads{threads}" if threads > 1 else "")
+        metrics = self.work / f"{stem}.csv"
+        checkpoint = self.work / f"{stem}.ckpt"
         self.run("train", "--corpus", str(self.corpus), "--steps", str(steps),
                  "--precision", str(precision), "--metrics", str(metrics),
-                 "--checkpoint", str(checkpoint), *flags)
+                 "--checkpoint", str(checkpoint), *flags, threads=threads)
         return metrics, checkpoint
 
 
@@ -161,6 +174,8 @@ def probe(tree: Path) -> dict:
             digests[f"{name}.checkpoint"] = file_digest(checkpoint)
             digests[f"{name}.reload"] = p.reload(checkpoint)
             losses[name] = read_losses(p.train(name, flags, LOSS_STEPS, 64)[0])
+        _, checkpoint = p.train(THREADS2, RUNS[THREADS2], DIGEST_STEPS, 32, threads=2)
+        digests[f"{THREADS2}.threads2"] = file_digest(checkpoint)
         stdout = p.run("train", "--corpus", str(p.corpus), "--steps", "2")
         digests["train-defaults.stdout"] = sha256(stdout)
         digests["train-defaults.metrics"] = file_digest(p.work / "train-rope.csv")
@@ -187,9 +202,9 @@ def compare(a: dict, b: dict, rtol: float | None) -> int:
     failing = 0
     for probed in (a, b):
         digests = probed["digests"]
-        for key in sorted(k for k in digests if k.endswith(".reload")):
-            if digests[key] != digests[key.removesuffix(".reload") + ".checkpoint"]:
-                print(f"{probed['tree']}: {key} differs from the checkpoint it was read from")
+        for key in sorted(k for k in digests if k.endswith(SAME_AS_CHECKPOINT)):
+            if digests[key] != digests[key.rsplit(".", 1)[0] + ".checkpoint"]:
+                print(f"{probed['tree']}: {key} differs from the run's .checkpoint digest")
                 failing += 1
     for key in sorted(a["digests"].keys() | b["digests"].keys()):
         if a["digests"].get(key) != b["digests"].get(key):
