@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ShawRelative
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
     Tensor, _as_tensor, _check_finite, _row_dot, _row_sum, as_array, elu_plus_one, exp,
@@ -195,12 +194,17 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     return tape_op(out, parents, grad_fn, name="softmax_attention")
 
 
-def shaw_score_bias(q: Tensor, shaw: ShawRelative) -> Tensor:
+def shaw_score_bias(q: Tensor, shaw: Tensor) -> Tensor:
     """(..., seq, radius) band q_m . (e_j - e_radius), j < radius, for
     :func:`softmax_attention`'s ``relative``: Shaw et al. (2018)'s key
-    term over shaw's rows e_0..e_radius.
+    term over the rows e_0..e_radius of the (radius + 1, dim) table
+    ``shaw``.
 
-    Shaw's bias is q_m . e[min(m - n, radius)], so every key at
+    Only the key path of Shaw's scheme is kept; the value-path term is
+    dropped. Row j < radius serves offset j and row radius every offset
+    >= radius. A causal model never scores a negative offset, so the
+    table has no rows for them, as in Music Transformer (Huang et al.
+    2018). Shaw's bias is q_m . e[min(m - n, radius)], so every key at
     m - n >= radius gets q_m . e_radius. Taking that per-row constant off
     all of row m's scores changes no softmax weight, and it leaves this
     band at offsets below radius and 0 at every key beyond. The forward

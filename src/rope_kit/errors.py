@@ -1,4 +1,9 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+The package's own checks raise a ``RopeKitError``. An index outside a
+table or a vocabulary is a ``DataError``; a sequence longer than a
+model's context is a ``ConfigurationError``.
+"""
 
 
 class RopeKitError(Exception):
@@ -22,7 +27,3 @@ class NumericError(RopeKitError, ArithmeticError):
 
 class DataError(RopeKitError, ValueError):
     """Input data is missing, empty, or inconsistent."""
-
-
-class LengthError(RopeKitError, ValueError):
-    """A sequence exceeds a fixed-capacity table that cannot grow."""

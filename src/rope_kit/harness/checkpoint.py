@@ -17,7 +17,8 @@ Layout (all integers little-endian):
         payload     raw little-endian floats
 
 ``_tensors`` gives the tensor order: the model parameters in registry
-order, then the Adam moments as "adam.m:<name>" and "adam.v:<name>".
+order (``ModelConfig.parameter_shapes``), then the Adam moments as
+"adam.m:<name>" and "adam.v:<name>".
 Loading rebuilds the model and its Adam state from the config text and
 reads each tensor, in file order, straight into its array, so a resumed
 run continues the exact trajectory of an uninterrupted one. A file is

@@ -1,14 +1,18 @@
 """Byte-level pre-norm transformer over the tape tensors.
 
 Small enough to gradient-check end to end, complete enough that swapping
-the position encoding or the attention kernel is a config change. All
+the position encoding or the attention kernel is a config change.
+``ModelConfig.parameter_shapes`` lists every parameter's name and shape
+in registry and checkpoint order; the model is built by walking it, and
+the learned and Shaw position tables are two of its entries. All
 randomness comes from the caller's Rng; the same seed builds the same
 model bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from ..attention import (
     shaw_score_bias,
     softmax_attention,
 )
-from ..baselines import LearnedAbsolute, ShawRelative, additive_inject, sinusoidal_encoding
+from ..baselines import additive_inject, sinusoidal_encoding
 from ..errors import ConfigurationError
 from ..numerics import (
     Parameter,
@@ -86,14 +90,34 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.d_model // self.heads
 
+    def parameter_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every ByteLM parameter, in registry and checkpoint
+        order; a 1-d entry is a norm gain, a 2-d one a weight matrix."""
+        d = self.d_model
+        shapes = [("wte", (self.vocab, d))]
+        if self.pos_encoding == "learned":
+            shapes.append(("pos_learned", (self.context_len, d)))
+        elif self.pos_encoding == "shaw":
+            shapes.append(("pos_shaw", (SHAW_CLIP_RADIUS + 1, self.head_dim)))
+        for i in range(self.layers):
+            shapes += [(f"layer{i}.attn_norm", (d,)),
+                       *((f"layer{i}.w{name}", (d, d)) for name in "qkvo"),
+                       (f"layer{i}.ffn_norm", (d,)),
+                       (f"layer{i}.w1", (d, FFN_MULT * d)),
+                       (f"layer{i}.w2", (FFN_MULT * d, d))]
+        return shapes + [("final_norm", (d,)), ("lm_head", (d, self.vocab))]
+
     @property
     def parameter_count(self) -> int:
-        """Floats in the parameters of the ByteLM this config builds."""
-        d = self.d_model
-        layer = 2 * d + 4 * d * d + 2 * FFN_MULT * d * d  # two gains, q/k/v/o, the ffn
-        position = {"learned": self.context_len * d,
-                    "shaw": (SHAW_CLIP_RADIUS + 1) * self.head_dim}.get(self.pos_encoding, 0)
-        return 2 * self.vocab * d + position + self.layers * layer + d
+        """Floats in the parameters of the ByteLM this config builds.
+
+        Counted on the one-layer model, plus layer0's floats for each
+        further layer: a checkpoint's config is counted before its size is
+        checked, so a corrupt ``layers`` must not cost a list entry per layer.
+        """
+        shapes = replace(self, layers=1).parameter_shapes()
+        layer = sum(math.prod(shape) for name, shape in shapes if name.startswith("layer0."))
+        return sum(math.prod(shape) for _, shape in shapes) + (self.layers - 1) * layer
 
     def to_text(self) -> str:
         return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
@@ -117,42 +141,14 @@ class ByteLM:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         self.dtype = np.float64 if config.precision == 64 else np.float32
-        d, hd = config.d_model, config.head_dim
+        self.rotary = RotaryEncoder(config.head_dim) if config.pos_encoding == "rope" else None
 
-        self.rotary = RotaryEncoder(hd) if config.pos_encoding == "rope" else None
-
+        # Gains start at one; matrices are drawn from the Rng in list order.
         self.params: list[Parameter] = []
-        self._matrix("wte", rng, (config.vocab, d))
-        self.learned = None
-        self.shaw = None
-        if config.pos_encoding == "learned":
-            self.learned = LearnedAbsolute(config.context_len, d, rng,
-                                           scale=INIT_SCALE, dtype=self.dtype)
-            self.params.append(self.learned)
-        elif config.pos_encoding == "shaw":
-            self.shaw = ShawRelative(SHAW_CLIP_RADIUS, hd, rng,
-                                     scale=INIT_SCALE, dtype=self.dtype)
-            self.params.append(self.shaw)
-        for i in range(config.layers):
-            self._gain(f"layer{i}.attn_norm", d)
-            self._matrix(f"layer{i}.wq", rng, (d, d))
-            self._matrix(f"layer{i}.wk", rng, (d, d))
-            self._matrix(f"layer{i}.wv", rng, (d, d))
-            self._matrix(f"layer{i}.wo", rng, (d, d))
-            self._gain(f"layer{i}.ffn_norm", d)
-            self._matrix(f"layer{i}.w1", rng, (d, FFN_MULT * d))
-            self._matrix(f"layer{i}.w2", rng, (FFN_MULT * d, d))
-        self._gain("final_norm", d)
-        self._matrix("lm_head", rng, (d, config.vocab))
+        for name, shape in config.parameter_shapes():
+            init = np.ones(shape) if len(shape) == 1 else rng.normal_array(shape, scale=INIT_SCALE)
+            self.params.append(Parameter(name, init, dtype=self.dtype))
         self.by_name = {p.name: p for p in self.params}
-
-    def _matrix(self, name: str, rng: Rng, shape) -> None:
-        self.params.append(
-            Parameter(name, rng.normal_array(shape, scale=INIT_SCALE), dtype=self.dtype)
-        )
-
-    def _gain(self, name: str, d: int) -> None:
-        self.params.append(Parameter(name, np.ones(d), dtype=self.dtype))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -171,7 +167,7 @@ class ByteLM:
             )
         cfg = self.config
         seq = x_tokens.shape[1]
-        if seq > cfg.context_len:
+        if seq > cfg.context_len:  # also the learned table's capacity
             raise ConfigurationError(f"sequence {seq} exceeds context {cfg.context_len}")
 
         h = take_rows(self._p("wte"), x_tokens)
@@ -179,8 +175,8 @@ class ByteLM:
             # Built per call, not per model: a table for the whole context
             # would let a checkpoint's context_len size an allocation at load.
             h = additive_inject(h, sinusoidal_encoding(np.arange(seq), cfg.d_model))
-        elif self.learned is not None:
-            h = additive_inject(h, self.learned.rows(seq))
+        elif cfg.pos_encoding == "learned":
+            h = additive_inject(h, take_rows(self._p("pos_learned"), np.arange(seq)))
 
         for i in range(cfg.layers):
             a = rmsnorm(h, self._p(f"layer{i}.attn_norm"))
@@ -202,8 +198,8 @@ class ByteLM:
                 q = apply_rotary_rows(self.rotary, q)
                 k = apply_rotary_rows(self.rotary, k)
             relative = None
-            if self.shaw is not None:
-                relative = shaw_score_bias(q, self.shaw)
+            if cfg.pos_encoding == "shaw":
+                relative = shaw_score_bias(q, self._p("pos_shaw"))
             return softmax_attention(q, k, v, causal=True, relative=relative)
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import ConfigurationError, DataError, DimensionError, NumericError
 
 __all__ = [
     "Rng",
@@ -691,7 +691,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
                              f"of logits {logits.shape}")
     vocab = logits.data.shape[-1]
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= vocab:
-        raise IndexError(f"target outside [0, {vocab})")
+        raise DataError(f"cross_entropy: target outside [0, {vocab})")
     rows = logits.data.reshape(-1, vocab)
     n, ids = len(rows), ids.reshape(-1)
     z = rows - rows.max(axis=1, keepdims=True)
@@ -740,7 +740,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     rows, d = table.data.shape
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= rows:
-        raise IndexError(f"row index outside [0, {rows})")
+        raise DataError(f"take_rows: row index outside [0, {rows})")
     data = table.data[ids]
 
     def grad_fn(g):

@@ -19,7 +19,6 @@ from rope_kit.attention import (
     softmax_attention,
 )
 from rope_kit.attention import _CHUNK, _FUTURE, _TRIL, _linear_core
-from rope_kit.baselines import ShawRelative
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter, Rng, Tensor, grad_check, matmul, reshape, softmax_rows, take_rows, tensor_sum,
@@ -407,7 +406,7 @@ class TestShawBias:
 
     def test_bias_matches_manual_loop(self):
         rng = Rng(10)
-        rel = ShawRelative(3, 4, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((3 + 1, 4), scale=1.0))
         q = rng.normal_array((5, 4))
         weights = self.weights_without_keys(q, rel)
         for m in range(5):
@@ -417,7 +416,7 @@ class TestShawBias:
 
     def test_gradients_flow_to_embeddings(self):
         rng = Rng(11)
-        rel = ShawRelative(2, 4, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((2 + 1, 4), scale=1.0))
         q = Parameter("q", rng.normal_array((4, 4)))
         v = Tensor(rng.normal_array((4, 4)))
 
@@ -433,7 +432,7 @@ class TestShawBias:
         # seq 9 with clip radius 2: the clipped far row and every nearer
         # row occur, and in the first rows some are absent.
         rng = Rng(40)
-        rel = ShawRelative(2, 4, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((2 + 1, 4), scale=1.0))
         q = rng.normal_array((2, 2, 9, 4))
         weights = self.weights_without_keys(q, rel)
         assert weights.shape == (2, 2, 9, 9)
@@ -447,7 +446,7 @@ class TestShawBias:
 
     def test_batched_heads_gradient(self):
         rng = Rng(41)
-        rel = ShawRelative(2, 4, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((2 + 1, 4), scale=1.0))
         q = Parameter("q", rng.normal_array((2, 2, 9, 4)))
         w = Tensor(rng.normal_array((2, 2, 9, 2)))
 
@@ -458,7 +457,7 @@ class TestShawBias:
         assert err < 1e-6
 
     def test_dim_mismatch_rejected(self):
-        rel = ShawRelative(2, 4, Rng(43))
+        rel = Parameter("pos_shaw", Rng(43).normal_array((2 + 1, 4), scale=0.02))
         with pytest.raises(DimensionError):
             shaw_score_bias(Tensor(np.zeros((3, 6))), rel)
 
@@ -466,7 +465,8 @@ class TestShawBias:
         # The 17 scores per query are all the op builds: never a
         # (seq, seq) bias (1 MB here) nor a (seq, seq, dim) gather (32 MB).
         rng = Rng(44)
-        rel = ShawRelative(16, 32, rng, dtype=np.float32)
+        rel = Parameter("pos_shaw", rng.normal_array((16 + 1, 32), scale=0.02),
+                        dtype=np.float32)
         q = Parameter("q", rng.normal_array((1, 2, 512, 32)), dtype=np.float32)
         tracemalloc.start()
         try:
@@ -486,12 +486,12 @@ class TestShawBias:
         # table with one row per clipped offset r_min..radius and feeds it
         # to the composed chain. Its rows for negative offsets are random
         # and get exactly no gradient: a causal model never reads them. The
-        # rest of the table is ShawRelative(radius)'s. With radius 100 the
-        # band is wider than a query block and reaches back before key 0 in
-        # the first two blocks.
+        # rest of the table is the model's (radius + 1)-row one. With radius
+        # 100 the band is wider than a query block and reaches back before
+        # key 0 in the first two blocks.
         r_min, radius = clip
         rng = Rng(120 + seq)
-        rel = ShawRelative(radius, 8, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((radius + 1, 8), scale=1.0))
         table = Parameter("table", np.concatenate([rng.normal_array((-r_min, 8)),
                                                    rel.data]))
         arrays = [rng.normal_array((2, seq, 8)) for _ in range(3)]
@@ -520,7 +520,7 @@ class TestShawBias:
     def test_gradient_across_blocks(self, target, causal):
         seq = 2 * _CHUNK + 3
         rng = Rng(130)
-        rel = ShawRelative(16, 4, rng, scale=1.0)
+        rel = Parameter("pos_shaw", rng.normal_array((16 + 1, 4), scale=1.0))
         params = {n: Parameter(n, rng.normal_array((2, seq, 4))) for n in "qkv"}
         params["embeddings"] = rel
 

@@ -1,17 +1,12 @@
-"""Comparison encodings: sinusoidal, learned absolute, clipped relative."""
+"""The sinusoidal encoding and the additive injection of position rows."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rope_kit.baselines import (
-    LearnedAbsolute,
-    ShawRelative,
-    additive_inject,
-    sinusoidal_encoding,
-)
-from rope_kit.errors import ConfigurationError, DimensionError, LengthError
+from rope_kit.baselines import additive_inject, sinusoidal_encoding
+from rope_kit.errors import ConfigurationError, DimensionError
 from rope_kit.numerics import Rng, Tensor
 
 
@@ -52,32 +47,6 @@ class TestSinusoidal:
             np.testing.assert_array_equal(stack[index], sinusoidal_encoding(int(k), 6))
         with pytest.raises(ConfigurationError):
             sinusoidal_encoding(np.array([2, -1]), 4)
-
-
-class TestLearnedAbsolute:
-    def test_deterministic_init(self):
-        a = LearnedAbsolute(8, 4, Rng(42))
-        b = LearnedAbsolute(8, 4, Rng(42))
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_lookup_within_capacity(self):
-        enc = LearnedAbsolute(8, 4, Rng(0))
-        rows = enc.rows(8)
-        np.testing.assert_array_equal(rows.data, enc.data)
-
-    def test_beyond_capacity_rejected(self):
-        enc = LearnedAbsolute(8, 4, Rng(0))
-        with pytest.raises(LengthError):
-            enc.rows(9)
-
-
-class TestShawClip:
-    def test_invalid_range(self):
-        # The clip radius is the number of offsets the band holds before
-        # the shared far row; a causal band needs at least offset 0.
-        for radius in (0, -3):
-            with pytest.raises(ConfigurationError, match="radius"):
-                ShawRelative(radius, 4, Rng(1))
 
 
 class TestAdditiveInject:

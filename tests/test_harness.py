@@ -126,9 +126,10 @@ class TestModelConfig:
 
 
 class TestBuildModel:
-    def test_same_seed_same_parameters(self):
-        a = ByteLM(tiny_config(), Rng(7))
-        b = ByteLM(tiny_config(), Rng(7))
+    @pytest.mark.parametrize("pos_encoding", ["rope", "learned", "shaw"])
+    def test_same_seed_same_parameters(self, pos_encoding):
+        a = ByteLM(tiny_config(pos_encoding=pos_encoding), Rng(7))
+        b = ByteLM(tiny_config(pos_encoding=pos_encoding), Rng(7))
         for pa, pb in zip(a.params, b.params):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
@@ -238,6 +239,15 @@ class TestBuildModel:
             grad = long.by_name[p.name].gradient
             assert grad[:len(p.data)].tobytes() == p.gradient.tobytes(), p.name
             assert not grad[len(p.data):].any(), p.name
+
+    @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
+    def test_sequence_beyond_context_rejected(self, pos_encoding):
+        # A learned table has no row past the context; the others are
+        # held to the same limit.
+        model = ByteLM(tiny_config(pos_encoding=pos_encoding), Rng(23))
+        tokens = Rng(24).randint_array(256, 2 * 10).reshape(2, 10)
+        with pytest.raises(ConfigurationError, match="sequence 9 exceeds context 8"):
+            model.loss(tokens[:, :-1], tokens[:, 1:])
 
     def test_shaw_memory_peak_matches_no_bias(self):
         # The clipped relative bias adds a (seq, 16) band per head,
@@ -543,10 +553,12 @@ class TestCheckpoint:
         ("config", b"heads=2", b"heads=2\nheads=4"),
         ("config", b"pos_encoding=learned", b"pos_encoding=rope"),
         ("config", b"d_model=16", b"d_model=512"),
+        ("config", b"layers=1", b"layers=1000000000"),
         ("name", b"wte", b"\xffte"),
         ("dim", struct.pack("<Q", 256), struct.pack("<Q", 2**31)),
     ], ids=["line-without-equals", "unknown-key", "non-integer-value",
             "config-not-utf8", "repeated-key", "learned-read-as-rope", "d_model-16-read-as-512",
+            "layers-1-read-as-1e9",
             "name-not-utf8", "first-dim-2**31"])
     def test_corrupt_contents_rejected(self, tmp_path, part, old, new):
         blob, text_end = self.saved(tmp_path, pos_encoding="learned")

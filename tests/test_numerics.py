@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rope_kit import numerics
-from rope_kit.errors import ConfigurationError, DimensionError, NumericError
+from rope_kit.errors import ConfigurationError, DataError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter,
     Rng,
@@ -296,9 +296,9 @@ class TestCrossEntropy:
         assert abs(out.item() - (-math.log(2 / 3))) < 1e-12
 
     def test_out_of_range_target(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DataError, match=r"outside \[0, 4\)"):
             cross_entropy(Tensor(np.zeros((1, 4))), [4])
-        with pytest.raises(IndexError):
+        with pytest.raises(DataError, match=r"outside \[0, 4\)"):
             cross_entropy(Tensor(np.zeros((1, 4))), [-1])
 
     def test_gradient(self):
@@ -420,7 +420,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data[0, 1], [6.0, 7.0, 8.0])
         tensor_sum(out).backward()
         np.testing.assert_array_equal(table.gradient[:, 0], [1.0, 0.0, 2.0, 1.0])
-        with pytest.raises(IndexError):
+        with pytest.raises(DataError, match=r"outside \[0, 4\)"):
             take_rows(table, [4])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
