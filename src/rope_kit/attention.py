@@ -28,7 +28,6 @@ path, so the two denominators are bit-identical by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +39,9 @@ from .numerics import (
 from .rotary import RotaryEncoder, apply_rotary_rows
 
 __all__ = [
-    "LinearAttentionParts",
     "softmax_attention",
     "shaw_score_bias",
-    "linear_attention",
     "linear_attention_parts",
-    "rope_linear_attention",
     "rope_linear_attention_parts",
     "rope_weight_sign_stats",
     "similarity_attention",
@@ -241,12 +237,6 @@ def feature_map_pair(name: str):
     raise ConfigurationError(f"unknown feature map {name!r} (use 'elu' or 'softmax-exp')")
 
 
-@dataclass
-class LinearAttentionParts:
-    output: Tensor
-    denominator: np.ndarray
-
-
 def _reverse_cumsum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(a, axis), axis), axis)
 
@@ -338,47 +328,35 @@ def _linear_core(pq_num: Tensor, pk_num: Tensor, pq_den: Tensor, pk_den: Tensor,
 
 
 def linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
-                           causal: bool = False) -> LinearAttentionParts:
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    _check_qkv(q, k, v)
-    phi, varphi = feature_map_pair(feature_map)
-    pq, pk = phi(q), varphi(k)
-    out, den = _linear_core(pq, pk, pq, pk, v, causal)
-    return LinearAttentionParts(output=out, denominator=den)
-
-
-def linear_attention(q: Tensor, k: Tensor, v: Tensor, feature_map: str = "elu",
-                     causal: bool = False) -> Tensor:
-    """Feature-mapped attention, linear in sequence length.
+                           causal: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Feature-mapped attention, linear in sequence length: (output, denominator).
 
     Weights are phi(q_m).varphi(k_n) normalized by their row sum; the
     strictly positive feature maps make the normalizer nonzero.
     """
-    return linear_attention_parts(q, k, v, feature_map, causal).output
-
-
-def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
-                                feature_map: str = "elu",
-                                causal: bool = False) -> LinearAttentionParts:
-    """Parts of :func:`rope_linear_attention`; row t sits at position t."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_qkv(q, k, v)
     phi, varphi = feature_map_pair(feature_map)
     pq, pk = phi(q), varphi(k)
-    pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
-    out, den = _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
-    return LinearAttentionParts(output=out, denominator=den)
+    return _linear_core(pq, pk, pq, pk, v, causal)
 
 
-def rope_linear_attention(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
-                          feature_map: str = "elu", causal: bool = False) -> Tensor:
-    """Linear attention with rotated feature maps in the numerator only.
+def rope_linear_attention_parts(q: Tensor, k: Tensor, v: Tensor, encoder: RotaryEncoder,
+                                feature_map: str = "elu",
+                                causal: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Linear attention with rotated feature maps in the numerator only:
+    (output, denominator); row t sits at position t.
 
     The denominator stays unrotated (the plain linear one, same code
     path), so normalization cannot divide by zero even though individual
     numerator weights may be negative.
     """
-    return rope_linear_attention_parts(q, k, v, encoder, feature_map, causal).output
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_qkv(q, k, v)
+    phi, varphi = feature_map_pair(feature_map)
+    pq, pk = phi(q), varphi(k)
+    pq_rot, pk_rot = apply_rotary_rows(encoder, pq), apply_rotary_rows(encoder, pk)
+    return _linear_core(pq_rot, pk_rot, pq, pk, v, causal)
 
 
 def rope_weight_sign_stats(q, k, encoder: RotaryEncoder) -> dict:

@@ -173,13 +173,13 @@ def _suite_linear_attention(rng: Rng, dims, trials: int):
         k = Tensor(rng.normal_array((seq, dim)))
         v = Tensor(rng.normal_array((seq, dim)))
         for name, sim in sims.items():
-            parts = attention.linear_attention_parts(q, k, v, name)
+            out, _ = attention.linear_attention_parts(q, k, v, name)
             direct = attention.similarity_attention(q.data, k.data, v.data, sim)
-            worst = max(worst, float(np.abs(parts.output.data - direct.data).max()))
+            worst = max(worst, float(np.abs(out.data - direct.data).max()))
         if dim == 16:
-            plain = attention.linear_attention_parts(q, k, v, "elu")
-            roped = attention.rope_linear_attention_parts(q, k, v, encoder, "elu")
-            if not np.array_equal(roped.denominator, plain.denominator):
+            _, plain_den = attention.linear_attention_parts(q, k, v, "elu")
+            _, roped_den = attention.rope_linear_attention_parts(q, k, v, encoder, "elu")
+            if not np.array_equal(roped_den, plain_den):
                 return False, "rotary-linear denominator differs from plain linear"
             stats = attention.rope_weight_sign_stats(q.data, k.data, encoder)
     detail = f"regrouped vs direct {worst:.2e}, denominators bit-identical"

@@ -19,8 +19,8 @@ import numpy as np
 from ..attention import (
     POS_ENCODINGS,
     VARIANTS,
-    linear_attention,
-    rope_linear_attention,
+    linear_attention_parts,
+    rope_linear_attention_parts,
     shaw_score_bias,
     softmax_attention,
 )
@@ -158,9 +158,9 @@ class ByteLM:
         return self.by_name[name]
 
     def loss(self, x_tokens: np.ndarray, y_tokens: np.ndarray) -> Tensor:
-        """Mean next-byte cross-entropy over a (batch, seq) token block."""
-        x_tokens = np.asarray(x_tokens, dtype=np.int64)
-        y_tokens = np.asarray(y_tokens, dtype=np.int64)
+        """Mean next-byte cross-entropy over a (batch, seq) block of integer
+        tokens; ``take_rows`` and ``cross_entropy`` refuse any other dtype."""
+        x_tokens, y_tokens = np.asarray(x_tokens), np.asarray(y_tokens)
         if x_tokens.ndim != 2 or x_tokens.shape != y_tokens.shape:
             raise ConfigurationError(
                 f"token blocks must be (batch, seq), got {x_tokens.shape} / {y_tokens.shape}"
@@ -203,5 +203,5 @@ class ByteLM:
             return softmax_attention(q, k, v, causal=True, relative=relative)
         feature_map = "elu" if cfg.attention_variant == "linear-elu" else "softmax-exp"
         if self.rotary is not None:
-            return rope_linear_attention(q, k, v, self.rotary, feature_map, causal=True)
-        return linear_attention(q, k, v, feature_map, causal=True)
+            return rope_linear_attention_parts(q, k, v, self.rotary, feature_map, causal=True)[0]
+        return linear_attention_parts(q, k, v, feature_map, causal=True)[0]

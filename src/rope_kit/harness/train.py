@@ -7,13 +7,14 @@ checkpoint resume continues the exact same trajectory. A resume into the
 run's own metrics file appends to it, so the file ends up byte-identical
 to that of an uninterrupted run.
 
-A step's loss and backward run with the tape's per-op finiteness checks
-off. The step then checks its loss and its global gradient norm, summed
-in float64. If either is not finite, or the pass raised ``NumericError``,
-the step is replayed on the same batch with every forward output and
-every gradient checked, and the replay's error, prefixed with the step,
-is raised; the parameters, the Adam moments and the metrics rows of the
-earlier steps are left as they were.
+A step's loss and backward run with the tape's finiteness checks off.
+The step then checks its loss and its global gradient norm, summed in
+float64. If either is not finite, or the pass raised ``NumericError``,
+the step is replayed on the same batch with the checks on, as they are
+outside this pass, so that every forward output and every gradient is
+checked; the replay's error, prefixed with the step, is raised, and the
+parameters, the Adam moments and the metrics rows of the earlier steps
+are left as they were.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DataError, NumericError
-from ..numerics import Rng, _finite_checks
+from ..numerics import Rng, _unchecked
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compare import METRICS_HEADER, read_metrics
 from .model import ByteLM
@@ -189,15 +190,14 @@ def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> flo
     ``NumericError`` naming the step (see the module docstring)."""
     with np.errstate(all="ignore"):
         try:
-            with _finite_checks(0):
+            with _unchecked():
                 value = _loss_and_gradients(model, x, y)
             if math.isfinite(value) and math.isfinite(_gradient_norm(model)):
                 return value
         except NumericError:
             pass
         try:
-            with _finite_checks(2):
-                _loss_and_gradients(model, x, y)
+            _loss_and_gradients(model, x, y)
         except NumericError as err:
             raise NumericError(f"step {step}: {err}") from err
     raise NumericError(f"step {step}: the loss or the gradient norm is not finite")

@@ -2,14 +2,16 @@
 
 Storage is a numpy array (float32 or float64); gradients are recorded
 micrograd-style, as per-op backward closures over whole tensors, and
-replayed in reverse topological order. Every op checks its output for
-NaN/Inf and raises ``NumericError`` naming itself instead of letting bad
-values propagate. A training step is the exception: it runs with these
-checks off and checks its loss and gradient norm once, and only a step
-that fails that check is replayed with every forward output and every
-gradient checked, so that its error names the op and the direction (see
-``harness.train``). Verification code runs in float64; training may use
-float32.
+replayed in reverse topological order. The tape's finiteness checks are
+on or off, and on by default. While they are on, every op checks its
+output for NaN/Inf and every backward checks each gradient it hands a
+parent, raising ``NumericError`` that names the op (``"<op> produced
+non-finite values"``, ``"<op> backward produced non-finite values"``)
+instead of letting bad values propagate. Only the first pass of a
+training step runs with them off: it checks its loss and gradient norm
+once, and a step that fails that check is run again with them on, so
+that its error names the op and the direction (see ``harness.train``).
+Verification code runs in float64; training may use float32.
 A ``Parameter`` is a named leaf Tensor that requires a gradient; ops,
 ``grad_check`` and the optimizer take it as it is.
 
@@ -207,24 +209,24 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-# What _check_finite checks: 1 (the default) every op's forward output, 0
-# nothing, 2 also every gradient an op's backward hands to a parent.
-_check_level = 1
+# Whether _check_finite checks: every op's forward output and every
+# gradient an op's backward hands to a parent. Off only inside _unchecked().
+_checks_on = True
 
 
 @contextlib.contextmanager
-def _finite_checks(level: int):
-    """Run the body at another finiteness-check level (see ``_check_level``)."""
-    global _check_level
-    saved, _check_level = _check_level, level
+def _unchecked():
+    """Run the body with the finiteness checks off (see ``_checks_on``)."""
+    global _checks_on
+    saved, _checks_on = _checks_on, False
     try:
         yield
     finally:
-        _check_level = saved
+        _checks_on = saved
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if _check_level and not np.all(np.isfinite(arr)):
+    if _checks_on and not np.all(np.isfinite(arr)):
         raise NumericError(f"{op} produced non-finite values")
     return arr
 
@@ -302,35 +304,10 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return _add(self, _scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return _add(_as_tensor(other), _scale(self, -1.0))
-
-    def __neg__(self):
-        return _scale(self, -1.0)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return _scale(self, float(other))
         return _mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise NumericError("division by zero scalar")
-            return _scale(self, 1.0 / float(other))
-        return NotImplemented
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
@@ -352,11 +329,11 @@ def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tens
 
     ``grad_fn(out_grad)`` must return a tuple with one gradient array per
     parent (``None`` to skip a parent). Gradient accumulation, requires_grad
-    propagation and finiteness checking (of the output, and at check level
-    2 of each gradient) are handled here so fused ops in other modules only
-    supply the math. A parent's first gradient is
-    stored as is when ``grad_fn`` made it fresh for that parent (see the
-    module docstring); any other first gradient is copied.
+    propagation and finiteness checking (of the output and of each
+    gradient) are handled here so fused ops in other modules only supply
+    the math. A parent's first gradient is stored as is when ``grad_fn``
+    made it fresh for that parent (see the module docstring); any other
+    first gradient is copied.
     """
     _check_finite(np.asarray(data), name)
     out = Tensor.__new__(Tensor)
@@ -376,8 +353,7 @@ def tape_op(data: np.ndarray, parents: tuple, grad_fn, name: str = "op") -> Tens
                     raise DimensionError(
                         f"{name}: gradient shape {g.shape} != value shape {parent.data.shape}"
                     )
-                if _check_level > 1:
-                    _check_finite(g, f"{name} backward")
+                _check_finite(g, f"{name} backward")
                 if parent.grad is not None:
                     parent.grad += g
                 elif (isinstance(g, np.ndarray) and g.base is None and g is not out_grad
@@ -680,12 +656,21 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return tape_op(weights, (x,), grad_fn, name="softmax_rows")
 
 
+def _integer_ids(ids, op: str) -> np.ndarray:
+    """``ids`` as an int64 array; an array of another kind (float, bool) is
+    refused rather than truncated."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise DataError(f"{op}: ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of ``(...)`` integer targets under a
     softmax over the last axis of ``(..., vocab)`` logits, read as rows;
     the gradient is a fresh array of the logits' shape."""
     logits = _as_tensor(logits)
-    ids = np.asarray(targets, dtype=np.int64)
+    ids = _integer_ids(targets, "cross_entropy")
     if logits.data.ndim == 0 or ids.shape != logits.data.shape[:-1]:
         raise DimensionError(f"cross_entropy: targets {ids.shape} do not match the rows "
                              f"of logits {logits.shape}")
@@ -737,7 +722,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
     table = _as_tensor(table)
     if table.data.ndim != 2:
         raise DimensionError(f"take_rows expects a 2-d table, got {table.shape}")
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _integer_ids(ids, "take_rows")
     rows, d = table.data.shape
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= rows:
         raise DataError(f"take_rows: row index outside [0, {rows})")

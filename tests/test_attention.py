@@ -9,9 +9,7 @@ import pytest
 
 from rope_kit.attention import (
     feature_map_pair,
-    linear_attention,
     linear_attention_parts,
-    rope_linear_attention,
     rope_linear_attention_parts,
     rope_weight_sign_stats,
     shaw_score_bias,
@@ -537,7 +535,7 @@ class TestLinearAttention:
     def test_single_token_returns_value(self):
         rng = Rng(13)
         q, k, v = rand_qkv(rng, 1, 4)
-        out = linear_attention(q, k, v, "elu")
+        out, _ = linear_attention_parts(q, k, v, "elu")
         np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
     def test_identical_keys_average_values(self):
@@ -545,7 +543,7 @@ class TestLinearAttention:
         q = Tensor(rng.normal_array((4, 4)))
         k = Tensor(np.tile(rng.normal_array((4,)), (4, 1)))
         v = Tensor(rng.normal_array((4, 4)))
-        out = linear_attention(q, k, v, "elu")
+        out, _ = linear_attention_parts(q, k, v, "elu")
         np.testing.assert_allclose(out.data, np.tile(v.data.mean(0), (4, 1)), atol=1e-12)
 
     @pytest.mark.parametrize("feature_map,sim", [
@@ -556,7 +554,7 @@ class TestLinearAttention:
         rng = Rng(15)
         for seq, dim in ((5, 4), (16, 8), (64, 64)):
             q, k, v = rand_qkv(rng, seq, dim)
-            fast = linear_attention(q, k, v, feature_map)
+            fast, _ = linear_attention_parts(q, k, v, feature_map)
             direct = similarity_attention(q.data, k.data, v.data, sim)
             assert np.abs(fast.data - direct.data).max() < 1e-10
 
@@ -564,7 +562,7 @@ class TestLinearAttention:
         rng = Rng(16)
         seq = 12
         q, k, v = rand_qkv(rng, seq, 6)
-        fast = linear_attention(q, k, v, "elu", causal=True).data
+        fast = linear_attention_parts(q, k, v, "elu", causal=True)[0].data
         scores = np.array([[float(elu1(q.data[m]) @ elu1(k.data[n])) for n in range(seq)]
                            for m in range(seq)])
         scores *= causal_mask(seq)
@@ -574,10 +572,10 @@ class TestLinearAttention:
     def test_batched_leading_axes(self):
         rng = Rng(17)
         q, k, v = (Tensor(rng.normal_array((2, 3, 5, 4))) for _ in range(3))
-        out = linear_attention(q, k, v, "elu", causal=True)
+        out, _ = linear_attention_parts(q, k, v, "elu", causal=True)
         for b in range(2):
             for h in range(3):
-                single = linear_attention(
+                single, _ = linear_attention_parts(
                     Tensor(q.data[b, h]), Tensor(k.data[b, h]), Tensor(v.data[b, h]),
                     "elu", causal=True,
                 )
@@ -599,10 +597,27 @@ class TestLinearAttention:
             params = [Parameter(n, rng.normal_array((5, 4))) for n in "qkv"]
 
             def f():
-                out = linear_attention(*params, feature_map, causal=True)
+                out, _ = linear_attention_parts(*params, feature_map, causal=True)
                 return tensor_sum(out * out)
 
             assert grad_check(f, params, Rng(19), samples=12) < 1e-6
+
+
+    @pytest.mark.parametrize("feature_map", ["elu", "softmax-exp"])
+    @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
+    def test_non_causal_gradient(self, rotary, feature_map):
+        rng = Rng(90)
+        enc = RotaryEncoder(4)
+        params = [Parameter(n, rng.normal_array((5, 4))) for n in "qkv"]
+
+        def f():
+            if rotary:
+                out, _ = rope_linear_attention_parts(*params, enc, feature_map)
+            else:
+                out, _ = linear_attention_parts(*params, feature_map)
+            return tensor_sum(out * out)
+
+        assert grad_check(f, params, Rng(91), samples=24) < 1e-6
 
 
 class TestRopeLinearAttention:
@@ -611,7 +626,7 @@ class TestRopeLinearAttention:
         rng = Rng(21)
         enc = RotaryEncoder(4)
         q, k, v = rand_qkv(rng, 1, 4)
-        out = rope_linear_attention(q, k, v, enc, "elu")
+        out, _ = rope_linear_attention_parts(q, k, v, enc, "elu")
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_denominator_identical_bitwise(self):
@@ -619,9 +634,9 @@ class TestRopeLinearAttention:
         enc = RotaryEncoder(8)
         for causal in (False, True):
             q, k, v = rand_qkv(rng, 5, 8)
-            plain = linear_attention_parts(q, k, v, "elu", causal=causal)
-            roped = rope_linear_attention_parts(q, k, v, enc, "elu", causal=causal)
-            assert np.array_equal(roped.denominator, plain.denominator)
+            _, plain_den = linear_attention_parts(q, k, v, "elu", causal=causal)
+            _, roped_den = rope_linear_attention_parts(q, k, v, enc, "elu", causal=causal)
+            assert np.array_equal(roped_den, plain_den)
 
     def test_sign_stats_reported(self):
         rng = Rng(24)
@@ -652,7 +667,7 @@ class TestRopeLinearAttention:
         params = [Parameter(n, rng.normal_array((5, 4))) for n in "qkv"]
 
         def f():
-            out = rope_linear_attention(*params, enc, "elu", causal=True)
+            out, _ = rope_linear_attention_parts(*params, enc, "elu", causal=True)
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(26), samples=12) < 1e-6
@@ -679,7 +694,7 @@ class TestChunkwiseCausal:
     def test_plain_matches_masked_direct(self, feature_map, seq):
         rng = Rng(60 + seq)
         q, k, v = rand_qkv(rng, seq, 8)
-        fast = linear_attention(q, k, v, feature_map, causal=True).data
+        fast = linear_attention_parts(q, k, v, feature_map, causal=True)[0].data
         pq, pk = direct_feature_maps(feature_map, q.data, k.data)
         assert np.abs(fast - masked_direct(pq, pk, pq, pk, v.data)).max() < 1e-10
 
@@ -689,15 +704,15 @@ class TestChunkwiseCausal:
         rng = Rng(70 + seq)
         q, k, v = rand_qkv(rng, seq, 8)
         enc = RotaryEncoder(8)
-        roped = rope_linear_attention_parts(q, k, v, enc, feature_map, causal=True)
-        plain = linear_attention_parts(q, k, v, feature_map, causal=True)
-        assert np.array_equal(roped.denominator, plain.denominator)
+        roped, roped_den = rope_linear_attention_parts(q, k, v, enc, feature_map, causal=True)
+        _, plain_den = linear_attention_parts(q, k, v, feature_map, causal=True)
+        assert np.array_equal(roped_den, plain_den)
         pq, pk = direct_feature_maps(feature_map, q.data, k.data)
         rot = dense_rotation_matrix(enc, np.arange(seq))
         pq_rot = np.einsum("tij,tj->ti", rot, pq)
         pk_rot = np.einsum("tij,tj->ti", rot, pk)
         direct = masked_direct(pq_rot, pk_rot, pq, pk, v.data)
-        assert np.abs(roped.output.data - direct).max() < 1e-10
+        assert np.abs(roped.data - direct).max() < 1e-10
 
     @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
     def test_gradient_across_chunks(self, rotary):
@@ -708,9 +723,9 @@ class TestChunkwiseCausal:
         def f():
             q, k, v = params
             if rotary:
-                out = rope_linear_attention(q, k, v, enc, "elu", causal=True)
+                out, _ = rope_linear_attention_parts(q, k, v, enc, "elu", causal=True)
             else:
-                out = linear_attention(q, k, v, "elu", causal=True)
+                out, _ = linear_attention_parts(q, k, v, "elu", causal=True)
             return tensor_sum(out * out)
 
         assert grad_check(f, params, Rng(81), samples=24) < 1e-6
@@ -723,7 +738,7 @@ class TestChunkwiseCausal:
                   for n in "qkv"]
         tracemalloc.start()
         try:
-            out = rope_linear_attention(*params, RotaryEncoder(32), "elu", causal=True)
+            out, _ = rope_linear_attention_parts(*params, RotaryEncoder(32), "elu", causal=True)
             tensor_sum(out).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -240,6 +240,30 @@ class TestBuildModel:
             assert grad[:len(p.data)].tobytes() == p.gradient.tobytes(), p.name
             assert not grad[len(p.data):].any(), p.name
 
+    def test_token_blocks_must_be_integers(self):
+        # uint8 corpus batches score as their int64 values; float tokens are
+        # refused, not truncated.
+        model = ByteLM(tiny_config(), Rng(25))
+        tokens = Rng(26).randint_array(256, 2 * 9).reshape(2, 9)
+        x, y = tokens[:, :-1], tokens[:, 1:]
+        as_bytes = model.loss(x.astype(np.uint8), y.astype(np.uint8))
+        assert as_bytes.data.tobytes() == model.loss(x, y).data.tobytes()
+        with pytest.raises(DataError, match="take_rows: ids must be integers"):
+            model.loss(x + 0.5, y)
+        with pytest.raises(DataError, match="cross_entropy: ids must be integers"):
+            model.loss(x, y.astype(np.float64))
+
+    def test_non_finite_gradient_outside_training_names_its_op(self, monkeypatch):
+        # Outside training every gradient is checked as the tape hands it
+        # on: a NaN from the GELU backward stops the backward at the ffn.
+        monkeypatch.setattr(numerics_module, "_gelu_backward",
+                            lambda g, u, t: np.full_like(u, np.nan))
+        model = ByteLM(tiny_config(), Rng(27))
+        tokens = Rng(28).randint_array(256, 2 * 9).reshape(2, 9)
+        loss = model.loss(tokens[:, :-1], tokens[:, 1:])
+        with pytest.raises(NumericError, match="^ffn backward produced non-finite values$"):
+            loss.backward()
+
     @pytest.mark.parametrize("pos_encoding", ["rope", "sinusoidal", "learned", "shaw", "none"])
     def test_sequence_beyond_context_rejected(self, pos_encoding):
         # A learned table has no row past the context; the others are
@@ -519,6 +543,14 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTAKIT!" + b"\x00" * 64)
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_unsupported_version_refused(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        path = tmp_path / "v2.ckpt"
+        at = len(checkpoint_module.MAGIC)
+        path.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4:])
+        with pytest.raises(DataError, match=re.escape(f"{path}: unsupported checkpoint version 2")):
             load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path, small_corpus):

@@ -197,6 +197,12 @@ class TestTensor:
         with pytest.raises(NumericError):
             exp(Tensor([1000.0]))  # overflows float64
 
+    def test_nonfinite_gradient_rejected(self):
+        p = Parameter("p", np.ones(2))
+        out = tape_op(np.asarray(2.0), (p,), lambda g: (np.full(2, np.nan),), name="poisoned")
+        with pytest.raises(NumericError, match="^poisoned backward produced non-finite values$"):
+            out.backward()
+
     def test_float32_preserved(self):
         t = Tensor(np.ones(3, dtype=np.float32))
         assert (t + t).dtype == np.float32
@@ -300,6 +306,12 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros((1, 4))), [4])
         with pytest.raises(DataError, match=r"outside \[0, 4\)"):
             cross_entropy(Tensor(np.zeros((1, 4))), [-1])
+
+    @pytest.mark.parametrize("targets", [[1.7], np.array([1.0]), np.array([True])],
+                             ids=["list-of-floats", "float-array", "bool-array"])
+    def test_non_integer_targets_refused(self, targets):
+        with pytest.raises(DataError, match="cross_entropy: ids must be integers"):
+            cross_entropy(Tensor(np.zeros((1, 4))), targets)
 
     def test_gradient(self):
         logits = Parameter("logits", Rng(1).normal_array((4, 7)))
@@ -422,6 +434,13 @@ class TestElementwise:
         np.testing.assert_array_equal(table.gradient[:, 0], [1.0, 0.0, 2.0, 1.0])
         with pytest.raises(DataError, match=r"outside \[0, 4\)"):
             take_rows(table, [4])
+
+    @pytest.mark.parametrize("ids", [[1.7], np.array([1.0]), np.array([True])],
+                             ids=["list-of-floats", "float-array", "bool-array"])
+    def test_take_rows_refuses_non_integer_ids(self, ids):
+        # A cast would read id 1.7 as row 1.
+        with pytest.raises(DataError, match="take_rows: ids must be integers"):
+            take_rows(Tensor(np.arange(8.0).reshape(4, 2)), ids)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_take_rows_gradient_sums_repeated_ids(self, dtype):

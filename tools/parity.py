@@ -21,6 +21,11 @@ JSON file holding a sha256 of each artifact:
   that checkout's ``load_checkpoint`` and ``save_checkpoint`` write back
   from it, run in a subprocess like the commands: equal to the run's
   ``.checkpoint`` digest when the reader returns every array bit for bit;
+- for each config in ``RUNS``, a ``<run>.resume`` digest of the
+  checkpoint of a run trained ``DIGEST_STEPS // 2`` steps and then
+  continued by that checkout's ``harness.resume`` up to ``DIGEST_STEPS``,
+  in a subprocess: equal to the run's ``.checkpoint`` digest when resume
+  is bit-exact;
 - a ``<run>.threads2`` digest of the checkpoint of the ``THREADS2`` run
   repeated with two BLAS threads: equal to its ``.checkpoint`` digest
   when training does not depend on the BLAS thread count, which the row
@@ -34,12 +39,12 @@ each config in ``RUNS``. Every run trains on one corpus generated here
 from a fixed seed, so two probes see the same bytes.
 
 ``--compare`` reports every digest and every loss series that differs,
-and every ``.reload`` or ``.threads2`` digest that differs from its
-``.checkpoint`` digest in the same file. Without ``--rtol`` any of these
-fails the comparison (exit 1). With ``--rtol`` the loss series are
-compared to that relative tolerance and only they and the ``.reload`` and
-``.threads2`` checks decide the exit status: digest differences between
-the files are still listed.
+and every ``.reload``, ``.resume`` or ``.threads2`` digest that differs
+from its ``.checkpoint`` digest in the same file. Without ``--rtol`` any
+of these fails the comparison (exit 1). With ``--rtol`` the loss series
+are compared to that relative tolerance and only they and the
+``.reload``, ``.resume`` and ``.threads2`` checks decide the exit status:
+digest differences between the files are still listed.
 Digests depend on the host, because OpenBLAS picks its kernels per CPU,
 so compare only files written on one machine.
 """
@@ -84,7 +89,7 @@ COMPARED = ("ctx64.rope-softmax", "ctx64.shaw-softmax")
 # Repeated with two BLAS threads for its .threads2 digest.
 THREADS2 = "ctx64.rope-softmax"
 # Digests that must equal the run's .checkpoint digest in the same file.
-SAME_AS_CHECKPOINT = (".reload", ".threads2")
+SAME_AS_CHECKPOINT = (".reload", ".resume", ".threads2")
 DIGEST_STEPS = 15
 LOSS_STEPS = 50
 WORDS = ("the of and a to in is was he for it with as his on be at by had not are but "
@@ -141,6 +146,20 @@ class Probe:
                        env=self.env, capture_output=True)
         return file_digest(again)
 
+    def resume(self, name: str, flags: tuple) -> str:
+        """Digest of the checkpoint of ``name`` trained ``DIGEST_STEPS // 2``
+        steps in float32, then resumed by this checkout up to ``DIGEST_STEPS``."""
+        metrics, checkpoint = self.train(f"{name}.half", flags, DIGEST_STEPS // 2, 32)
+        batch_size = flags[flags.index("--batch-size") + 1]
+        code = ("import sys; from rope_kit.harness import TrainConfig, resume; "
+                "steps, corpus, metrics, checkpoint, batch_size = sys.argv[1:]; "
+                "resume(checkpoint, TrainConfig(int(steps), corpus, metrics, checkpoint, "
+                "batch_size=int(batch_size)))")
+        subprocess.run([sys.executable, "-c", code, str(DIGEST_STEPS), str(self.corpus),
+                        str(metrics), str(checkpoint), batch_size], cwd=self.work,
+                       env=self.env, capture_output=True)
+        return file_digest(checkpoint)
+
     def train(self, name: str, flags: tuple, steps: int, precision: int,
               threads: int = 1) -> tuple[Path, Path]:
         stem = f"{name}.{precision}" + (f".threads{threads}" if threads > 1 else "")
@@ -173,6 +192,7 @@ def probe(tree: Path) -> dict:
             digests[f"{name}.metrics"] = file_digest(metrics)
             digests[f"{name}.checkpoint"] = file_digest(checkpoint)
             digests[f"{name}.reload"] = p.reload(checkpoint)
+            digests[f"{name}.resume"] = p.resume(name, flags)
             losses[name] = read_losses(p.train(name, flags, LOSS_STEPS, 64)[0])
         _, checkpoint = p.train(THREADS2, RUNS[THREADS2], DIGEST_STEPS, 32, threads=2)
         digests[f"{THREADS2}.threads2"] = file_digest(checkpoint)
