@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError
 from .numerics import (
-    Tensor, _as_tensor, _check_finite, _row_dot, _row_sum, as_array, elu_plus_one, exp,
-    softmax_rows, tape_op,
+    Tensor, _as_tensor, _check_finite, _row_dot, _row_max, _row_sum, as_array, elu_plus_one,
+    exp, softmax_rows, tape_op,
 )
 from .rotary import RotaryEncoder, apply_rotary_rows
 
@@ -155,7 +155,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
         _check_finite(probs, "softmax_attention scores")
         if causal:
             np.copyto(probs[..., r0:], -np.inf, where=_FUTURE[:r1 - r0, :r1 - r0])
-        probs -= probs.max(axis=-1, keepdims=True)
+        probs -= _row_max(probs)
         np.exp(probs, out=probs)
         probs /= _row_sum(probs)[..., None]
         probs.setflags(write=False)

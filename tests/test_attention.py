@@ -17,6 +17,7 @@ from rope_kit.attention import (
     softmax_attention,
 )
 from rope_kit.attention import _CHUNK, _FUTURE, _TRIL, _linear_core
+from rope_kit import numerics
 from rope_kit.errors import ConfigurationError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter, Rng, Tensor, grad_check, matmul, reshape, softmax_rows, take_rows, tensor_sum,
@@ -372,6 +373,21 @@ class TestQueryBlocks:
             with pytest.raises(NumericError, match="softmax_attention"):
                 softmax_attention(Tensor(q), Tensor(k), Tensor(v))
         np.testing.assert_array_equal(out[100:], np.repeat(v[100:101], seq - 100, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_score_gives_nan_rows(self, dtype):
+        # With the tape's checks off, key 70's NaN enters the scores of
+        # queries 70 on, in both blocks, and each such row comes out all
+        # NaN; the queries before it never score key 70.
+        seq = 2 * _CHUNK + 3
+        rng = Rng(114)
+        q, k, v = (rng.normal_array((seq, 4)).astype(dtype) for _ in range(3))
+        k[70, 1] = np.nan
+        with numerics._unchecked(), np.errstate(all="ignore"):
+            out = softmax_attention(Tensor(q, dtype=dtype), Tensor(k, dtype=dtype),
+                                    Tensor(v, dtype=dtype), causal=True).data
+        assert np.isfinite(out[:70]).all()
+        assert np.isnan(out[70:]).all()
 
 
 def test_causal_constants_are_read_only():

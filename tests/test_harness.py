@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import importlib
 import io
@@ -32,7 +33,8 @@ from rope_kit.harness import (
     train,
 )
 from rope_kit.harness.model import SHAW_CLIP_RADIUS
-from rope_kit.numerics import Rng, grad_check
+from rope_kit.harness.train import Corpus
+from rope_kit.numerics import Parameter, Rng, grad_check
 
 checkpoint_module = importlib.import_module("rope_kit.harness.checkpoint")
 train_module = importlib.import_module("rope_kit.harness.train")
@@ -330,6 +332,61 @@ def test_tape_ops_per_loss(variant, pos_encoding):
     tokens = np.arange(36).reshape(4, 9) * 7 % 256
     loss = model.loss(tokens[:, :-1], tokens[:, 1:])
     assert tape_ops(loss) <= TAPE_OPS[variant, pos_encoding]
+
+
+def model_with_gradients(grads):
+    """A stand-in model whose parameters hold ``grads`` (None: no gradient)."""
+    params = []
+    for i, g in enumerate(grads):
+        p = Parameter(f"p{i}", np.zeros(1 if g is None else g.shape))
+        p.grad = g
+        params.append(p)
+    return types.SimpleNamespace(params=params)
+
+
+class TestGradientNorm:
+    SIZES = [(256, 32), (16384,), (37,), (64, 128)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_exact_sum_of_squares(self, dtype):
+        rng = Rng(71)
+        grads = [rng.normal_array(size, scale).astype(dtype)
+                 for size, scale in zip(self.SIZES, (1e-3, 0.5, 30.0, 1.0))]
+        exact = math.sqrt(math.fsum(np.concatenate([g.astype(np.float64).ravel() ** 2
+                                                    for g in grads])))
+        norm = train_module._gradient_norm(model_with_gradients(grads[:2] + [None] + grads[2:]))
+        assert abs(norm - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_float_at_any_memory_offset(self, dtype):
+        rng = Rng(72)
+        values = [rng.normal_array(size).astype(dtype) for size in self.SIZES]
+        norms = set()
+        for offset in range(16):
+            grads = []
+            for v in values:
+                g = np.empty(v.size + 16, dtype)[offset:offset + v.size].reshape(v.shape)
+                g[...] = v
+                grads.append(g)
+            norms.add(train_module._gradient_norm(model_with_gradients(grads)))
+        assert len(norms) == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_not_finite_for_a_non_finite_gradient(self, bad, dtype):
+        grads = [Rng(73).normal_array(size).astype(dtype) for size in self.SIZES]
+        grads[1][4097] = bad
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(train_module._gradient_norm(model_with_gradients(grads)))
+
+
+def test_sample_batch_is_slices_of_the_corpus():
+    corpus = Corpus(train=Rng(75).randint_array(256, 1000).astype(np.uint8), validation=None)
+    x, y = train_module._sample_batch(corpus, Rng(74), 8, 64)
+    starts = Rng(74).randint_array(len(corpus.train) - 64, 8)
+    assert x.dtype == y.dtype == np.uint8 and x.shape == y.shape == (8, 64)
+    np.testing.assert_array_equal(x, np.stack([corpus.train[s:s + 64] for s in starts]))
+    np.testing.assert_array_equal(y, np.stack([corpus.train[s + 1:s + 65] for s in starts]))
 
 
 class TestTraining:

@@ -207,6 +207,14 @@ class TestTensor:
         t = Tensor(np.ones(3, dtype=np.float32))
         assert (t + t).dtype == np.float32
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_any_single_value(self, shape):
+        assert Tensor(np.full(shape, 2.5, np.float32)).item() == 2.5
+
+    def test_item_needs_a_single_value(self):
+        with pytest.raises(DimensionError, match=r"item\(\) needs a single value, got shape \(2, 1\)"):
+            Tensor(np.ones((2, 1))).item()
+
     def test_backward_needs_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
@@ -365,6 +373,27 @@ class TestElementwise:
         at_zero = elu_plus_one(Tensor([0.0])).data[0]
         assert abs(at_zero - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_plus_one_bit_identical_to_select_formula(self, dtype):
+        # elu(x) + 1 and its derivative as selects on x > 0, on a grid with
+        # both zeros, both infinities, NaN, subnormals and arguments whose
+        # exp underflows (below about -103.9 in float32, -745.1 in float64).
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-45, -1e-45,
+                   -87.4, -103.9, -104.0, -708.4, -745.1, -746.0, -1e30, 1e30, 3e38]
+        with np.errstate(all="ignore"):
+            x = np.concatenate([special, np.linspace(-120.0, 30.0, 1501),
+                                Rng(51).normal_array(400, 4.0)]).astype(dtype)
+            g = Rng(52).normal_array(x.shape).astype(dtype)
+            neg = np.exp(np.minimum(x, 0.0))
+            expected = np.where(x > 0, x + 1.0, neg)
+            expected_grad = g * np.where(x > 0, 1.0, neg)
+            with numerics._unchecked():
+                p = Parameter("x", x, dtype=dtype)
+                out = elu_plus_one(p)
+                tensor_sum(out * Tensor(g)).backward()
+        assert_same_bits(out.data, expected)
+        assert_same_bits(p.gradient, expected_grad)
+
     def test_exp_matches_numpy(self):
         x = Rng(6).normal_array((5,))
         np.testing.assert_allclose(exp(Tensor(x)).data, np.exp(x), rtol=1e-15)
@@ -425,6 +454,25 @@ class TestElementwise:
         out = rmsnorm(Tensor(x), Tensor(np.ones(16))).data
         rms = np.sqrt((out**2).mean(axis=-1))
         np.testing.assert_allclose(rms, 1.0, atol=1e-4)  # eps offsets slightly
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 64, 32), (3, 19)], ids=["8x64x32", "3x19"])
+    def test_rmsnorm_gradients_bit_identical_to_formula(self, shape, dtype):
+        rng = Rng(53)
+        x = rng.normal_array(shape, 2.0).astype(dtype)
+        gain = rng.normal_array(shape[-1:]).astype(dtype)
+        g = rng.normal_array(shape).astype(dtype)
+        d = shape[-1]
+        scale = 1.0 / np.sqrt((numerics._row_dot(x, x) / d)[..., None] + 1e-5)
+        g_normed = g * gain
+        dot = numerics._row_dot(g_normed, x)[..., None]
+        expected_x = scale * (g_normed - (scale**2 / d) * x * dot)
+        rows = (g * (x * scale)).reshape(-1, d)
+        expected_gain = np.ones(len(rows), dtype) @ rows
+        px, pgain = Parameter("x", x, dtype=dtype), Parameter("gain", gain, dtype=dtype)
+        tensor_sum(rmsnorm(px, pgain) * Tensor(g)).backward()
+        assert_same_bits(px.gradient, expected_x)
+        assert_same_bits(pgain.gradient, expected_gain)
 
     def test_take_rows_and_gradient(self):
         table = Parameter("t", np.arange(12.0).reshape(4, 3))
@@ -493,6 +541,19 @@ class TestRowReductions:
         assert len(sums) == 1 and len(dots) == 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_row_max_is_numpys_max_at_any_memory_offset(self, shape, dtype):
+        rng = Rng(54)
+        size = math.prod(shape)
+        a = rng.normal_array(shape).astype(dtype)
+        a.reshape(-1)[::5] = -np.inf  # masked scores
+        expected = a.max(axis=-1, keepdims=True).tobytes()
+        for offset in range(16):
+            x = np.empty(size + 16, dtype)[offset:offset + size].reshape(shape)
+            x[...] = a
+            assert numerics._row_max(x).tobytes() == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_match_numpy_reductions(self, dtype):
         rng = Rng(50)
         a = rng.normal_array((4, 7, 33)).astype(dtype)
@@ -502,6 +563,46 @@ class TestRowReductions:
         np.testing.assert_allclose(numerics._row_sum(a), a.sum(axis=-1), rtol=rtol, atol=rtol)
         np.testing.assert_allclose(numerics._row_dot(a, b), (a * b).sum(axis=-1), rtol=rtol,
                                    atol=rtol)
+
+
+class TestNaNRows:
+    """With the tape's checks off, a row holding a NaN comes out all NaN and
+    leaves the other rows finite."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_rows(self, dtype):
+        x = Rng(55).normal_array((4, 9)).astype(dtype)
+        x[1, 3] = np.nan
+        mask = np.ones((4, 9), bool)
+        mask[2, 5] = False
+        x[2, 5] = np.nan  # masked out, so row 2 stays finite
+        with numerics._unchecked(), np.errstate(all="ignore"):
+            plain = softmax_rows(Tensor(x, dtype=dtype)).data
+            masked = softmax_rows(Tensor(x, dtype=dtype), mask=mask).data
+        for out, nan_rows in ((plain, [1, 2]), (masked, [1])):
+            assert np.isnan(out[nan_rows]).all()
+            assert np.isfinite(np.delete(out, nan_rows, axis=0)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy(self, dtype):
+        logits = Rng(56).normal_array((4, 11)).astype(dtype)
+        logits[2, 7] = np.nan
+        with numerics._unchecked(), np.errstate(all="ignore"):
+            p = Parameter("logits", logits, dtype=dtype)
+            loss = cross_entropy(p, [0, 1, 2, 3])
+            loss.backward()
+        assert np.isnan(loss.data)
+        assert np.isnan(p.gradient[2]).all()
+        assert np.isfinite(np.delete(p.gradient, 2, axis=0)).all()
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal dtype and shape, NaN at the same places, and every other
+    entry the same bits (so a -0.0 never stands for 0.0)."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def leaf(values, dtype=np.float64) -> Tensor:
@@ -713,6 +814,11 @@ class TestGradCheck:
             return mean(softmax_rows(h) * rmsnorm(h, Tensor(np.ones(6))))
 
         assert grad_check(f, [w], Rng(16), samples=20) < 1e-4
+
+    def test_loss_of_shape_one_by_one(self):
+        p = Parameter("w", [[3.0]])
+        err = grad_check(lambda: matmul(p, p), [p], Rng(0), samples=3)
+        assert err < 1e-9
 
     def test_rejects_float32_parameters(self):
         p = Parameter("w", np.ones(2, dtype=np.float32))

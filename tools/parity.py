@@ -71,7 +71,9 @@ CTX64 = ("--d-model", "32", "--heads", "2", "--layers", "2", "--context", "64",
          "--batch-size", "8")
 CTX512 = ("--d-model", "64", "--heads", "2", "--layers", "2", "--context", "512",
           "--batch-size", "1")
-# 200 positions: softmax attention's last 64-row query block holds 8 rows.
+# 200 positions: softmax attention's last 64-row query block holds 8 rows,
+# and linear attention's causal numerator runs four 64-position chunks, the
+# last zero-padded.
 CTX200 = ("--d-model", "32", "--heads", "2", "--layers", "2", "--context", "200",
           "--batch-size", "2")
 RUNS = {
@@ -83,6 +85,7 @@ RUNS = {
        for enc in ("rope", "shaw")},
     **{f"ctx200.{enc}-softmax": CTX200 + ("--variant", enc, "--attention", "softmax")
        for enc in ("rope", "shaw")},
+    "ctx200.rope-linear-elu": CTX200 + ("--variant", "rope", "--attention", "linear-elu"),
 }
 # compare tabulates 12 of the LOSS_STEPS rows of these runs.
 COMPARED = ("ctx64.rope-softmax", "ctx64.shaw-softmax")
