@@ -208,7 +208,7 @@ def shaw_score_bias(q: Tensor, shaw: Tensor) -> Tensor:
     dS = [g, -sum_j g_j], gq = dS E and gE = dS^T q. No (seq, seq) array
     is built.
     """
-    q = _as_tensor(q)
+    q, shaw = _as_tensor(q), _as_tensor(shaw)
     dim = q.data.shape[-1]
     if dim != shaw.data.shape[-1]:
         raise DimensionError(f"query dim {dim} != relative-embedding dim {shaw.data.shape[-1]}")

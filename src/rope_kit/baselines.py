@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numerics import Tensor
+from .numerics import Tensor, _as_tensor
 
 __all__ = ["sinusoidal_encoding", "additive_inject"]
 
@@ -45,6 +45,7 @@ def additive_inject(x: Tensor, rows) -> Tensor:
     array (the sinusoidal rows) stays off the gradient tape; a Tensor
     (the learned rows) joins it.
     """
+    x = _as_tensor(x)
     if not isinstance(rows, Tensor):
         rows = Tensor(rows, dtype=x.data.dtype)
     if rows.data.shape != x.data.shape[-2:]:

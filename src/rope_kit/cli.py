@@ -285,7 +285,7 @@ def cmd_bench(args) -> int:
     sparse_t = _median_time(sparse_pass, args.reps)
     print(f"outputs agree (max |diff| = {gap:.2e})")
     print(f"dense  d x d matrix apply : {dense_t * 1e3:9.3f} ms median of {args.reps}")
-    print(f"sparse cos/sin apply      : {sparse_t * 1e3:9.3f} ms median of {args.reps}")
+    print(f"sparse phase apply        : {sparse_t * 1e3:9.3f} ms median of {args.reps}")
     ratio = dense_t / sparse_t if sparse_t > 0 else float("inf")
     print(f"speedup (dense/sparse)    : {ratio:9.2f}x (reported, not asserted)")
     return 0

@@ -9,7 +9,8 @@ to that of an uninterrupted run.
 
 A step's loss and backward run with the tape's finiteness checks off.
 The step then checks its loss and its global gradient norm, summed in
-float64. If either is not finite, or the pass raised ``NumericError``,
+float64, or, if a finite float64 entry above 1e154 overflows that sum,
+each gradient. If either is not finite, or the pass raised ``NumericError``,
 the step is replayed on the same batch with the checks on, as they are
 outside this pass, so that every forward output and every gradient is
 checked; the replay's error, prefixed with the step, is raised, and the
@@ -194,7 +195,8 @@ def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> flo
         try:
             with _unchecked():
                 value = _loss_and_gradients(model, x, y)
-            if math.isfinite(value) and math.isfinite(_gradient_norm(model)):
+            if math.isfinite(value) and (math.isfinite(_gradient_norm(model)) or all(
+                    p.grad is None or np.isfinite(p.grad).all() for p in model.params)):
                 return value
         except NumericError:
             pass

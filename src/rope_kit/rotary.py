@@ -2,10 +2,11 @@
 
 A d-dimensional vector is treated as d/2 planar pairs; position m rotates
 pair i by the angle m * theta_i. The operator exists in two equivalent
-realizations: an explicit block-diagonal matrix (the reference) and an
-elementwise cos/sin combination with a pair swap (the fast path). Scores
-of rotated queries and keys depend on positions only through their
-difference, which is what the rest of the package verifies and exploits.
+realizations: an explicit block-diagonal matrix (the reference) and the
+paper's complex form, pair i read as one complex number and multiplied
+by the phase e^{i m theta_i} (the fast path). Scores of rotated queries
+and keys depend on positions only through their difference, which is
+what the rest of the package verifies and exploits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .numerics import Tensor, as_array, tape_op
 
 __all__ = [
     "RotaryEncoder",
-    "rotate_pairs",
     "apply_rotary",
     "apply_rotary_rows",
     "dense_rotation_matrix",
@@ -28,16 +28,13 @@ __all__ = [
 BASE = 10000.0
 
 
-def rotate_pairs(x: np.ndarray) -> np.ndarray:
-    """(x1, x2, x3, x4, ...) -> (-x2, x1, -x4, x3, ...) over the last axis."""
-    out = np.empty_like(x)
-    out[..., 0::2] = -x[..., 1::2]
-    out[..., 1::2] = x[..., 0::2]
-    return out
-
-
-def _rotate(x: np.ndarray, cos_row: np.ndarray, sin_row: np.ndarray) -> np.ndarray:
-    return x * cos_row + rotate_pairs(x) * sin_row
+def _rotate(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Each last-axis pair (x_2i, x_2i+1) of ``x``, read as x_2i + i x_2i+1
+    at ``x``'s precision, times its phase, viewed back in ``x``'s dtype."""
+    if x.strides[-1] != x.itemsize:  # a complex view needs a contiguous last axis
+        x = x.copy()
+    pairs = x.view(np.complex64 if x.dtype == np.float32 else np.complex128)
+    return (pairs * phases.astype(pairs.dtype, copy=False)).view(x.dtype)
 
 
 def _integer_positions(positions) -> np.ndarray:
@@ -48,10 +45,14 @@ def _integer_positions(positions) -> np.ndarray:
     return positions
 
 
-def _pair_cos_sin(enc: RotaryEncoder, positions) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of positions * theta_i, each repeated for both members of its pair."""
+def _phases(enc: RotaryEncoder, positions) -> np.ndarray:
+    """e^{i m theta_i} = cos(m theta_i) + i sin(m theta_i) for each position
+    m and frequency theta_i, in complex128."""
     angles = np.multiply.outer(positions, enc.thetas)
-    return np.repeat(np.cos(angles), 2, axis=-1), np.repeat(np.sin(angles), 2, axis=-1)
+    phases = np.empty(angles.shape, np.complex128)
+    phases.real = np.cos(angles)
+    phases.imag = np.sin(angles)
+    return phases
 
 
 class RotaryEncoder:
@@ -64,11 +65,11 @@ class RotaryEncoder:
     :func:`dense_rotation_matrix` and :func:`rope_score` then return one
     result per set, with Theta's leading axes after the position axes;
     the row rotations take one set only. The rotation at position m is
-    the closed form m * theta_i, so explicit positions get their cos/sin
+    the closed form m * theta_i, so explicit positions get their phases
     computed directly and no table has to cover them.
-    ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps the pair of
-    the most recent ``seq``, so a training loop at a fixed context builds
-    it once.
+    ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps the phase
+    table of the most recent ``seq``, so a training loop at a fixed
+    context builds it once.
     """
 
     def __init__(self, dim: int, thetas=None):
@@ -84,16 +85,15 @@ class RotaryEncoder:
         thetas.setflags(write=False)
         self.dim = dim
         self.thetas = thetas
-        self._rows: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows: np.ndarray | None = None
 
-    def rows(self, seq: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (seq, dim) cos/sin rows for positions 0..seq-1."""
-        if self._rows is None or len(self._rows[0]) != seq:
+    def rows(self, seq: int) -> np.ndarray:
+        """Read-only (seq, dim/2) complex128 phases e^{i m theta_i} for
+        positions m = 0..seq-1."""
+        if self._rows is None or len(self._rows) != seq:
             _single_set(self)
-            cos, sin = _pair_cos_sin(self, np.arange(seq))
-            cos.setflags(write=False)
-            sin.setflags(write=False)
-            self._rows = cos, sin
+            self._rows = _phases(self, np.arange(seq))
+            self._rows.setflags(write=False)
         return self._rows
 
 
@@ -125,8 +125,7 @@ def apply_rotary(enc: RotaryEncoder, x, positions):
         raise DimensionError(f"positions shape {positions.shape} != rows {rows}")
     if (positions < 0).any():
         raise ConfigurationError(f"positions must be non-negative, got {positions.min()}")
-    cos, sin = _pair_cos_sin(enc, positions)
-    return _apply_cos_sin(x, cos, sin, enc.dim)
+    return _apply_phases(x, _phases(enc, positions), enc.dim)
 
 
 def apply_rotary_rows(enc: RotaryEncoder, x):
@@ -134,26 +133,23 @@ def apply_rotary_rows(enc: RotaryEncoder, x):
     shape = _shape(x)
     if len(shape) < 2:
         raise DimensionError(f"apply_rotary_rows needs (..., seq, dim) input, got shape {shape}")
-    cos, sin = enc.rows(shape[-2])
-    return _apply_cos_sin(x, cos, sin, enc.dim)
+    return _apply_phases(x, enc.rows(shape[-2]), enc.dim)
 
 
-def _apply_cos_sin(x, cos, sin, dim: int):
+def _apply_phases(x, phases, dim: int):
     if isinstance(x, Tensor):
         if x.data.shape[-1] != dim:
             raise DimensionError(f"last dim {x.data.shape[-1]} != rotary dim {dim}")
-        cos = cos.astype(x.data.dtype, copy=False)
-        sin = sin.astype(x.data.dtype, copy=False)
-        data = _rotate(x.data, cos, sin)
+        data = _rotate(x.data, phases)
 
         def grad_fn(g):
-            return (_rotate(g, cos, -sin),)
+            return (_rotate(g, phases.conj()),)
 
         return tape_op(data, (x,), grad_fn, name="apply_rotary")
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != dim:
         raise DimensionError(f"last dim {arr.shape[-1]} != rotary dim {dim}")
-    return _rotate(arr, cos, sin)
+    return _rotate(arr, phases)
 
 
 def dense_rotation_matrix(enc: RotaryEncoder, m) -> np.ndarray:
@@ -187,9 +183,8 @@ def rope_score(q, k, m, n, enc: RotaryEncoder):
     qa, ka = as_array(q), as_array(k)
     if qa.shape[-1:] != (enc.dim,) or ka.shape[-1:] != (enc.dim,):
         raise DimensionError(f"expected {enc.dim}-vectors, got shapes {qa.shape} and {ka.shape}")
-    cos_m, sin_m = _pair_cos_sin(enc, _integer_positions(m))
-    cos_n, sin_n = _pair_cos_sin(enc, _integer_positions(n))
-    score = (_rotate(qa, cos_m, sin_m) * _rotate(ka, cos_n, sin_n)).sum(axis=-1)
+    score = (_rotate(qa, _phases(enc, _integer_positions(m)))
+             * _rotate(ka, _phases(enc, _integer_positions(n)))).sum(axis=-1)
     return float(score) if score.ndim == 0 else score
 
 

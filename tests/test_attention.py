@@ -475,6 +475,12 @@ class TestShawBias:
         with pytest.raises(DimensionError):
             shaw_score_bias(Tensor(np.zeros((3, 6))), rel)
 
+    def test_array_table_is_coerced(self):
+        q = Rng(45).normal_array((5, 4))
+        table = Rng(46).normal_array((16 + 1, 4))
+        out = shaw_score_bias(q, table)
+        assert out.data.tobytes() == shaw_score_bias(Tensor(q), Tensor(table)).data.tobytes()
+
     def test_memory_peak_at_long_context(self):
         # The 17 scores per query are all the op builds: never a
         # (seq, seq) bias (1 MB here) nor a (seq, seq, dim) gather (32 MB).

@@ -84,6 +84,11 @@ class TestAdditiveInject:
         x = Tensor(np.ones((3, 4), dtype=np.float32))
         assert additive_inject(x, sinusoidal_encoding(np.arange(3), 4)).data.dtype == np.float32
 
+    def test_array_input_is_coerced(self):
+        out = additive_inject(np.ones((2, 3, 4)), np.ones((3, 4)))
+        assert isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, np.full((2, 3, 4), 2.0))
+
     @pytest.mark.parametrize("shape", [(1, 4), (4, 4), (3, 2), (2, 3, 4)])
     def test_rows_of_another_shape_rejected(self, shape):
         # A (1, dim) row would otherwise broadcast over every position.

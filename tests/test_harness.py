@@ -379,6 +379,20 @@ class TestGradientNorm:
         with np.errstate(all="ignore"):
             assert not math.isfinite(train_module._gradient_norm(model_with_gradients(grads)))
 
+    def test_overflowing_norm_of_finite_gradients_passes_the_step(self, monkeypatch):
+        # 1e200 squared overflows the float64 sum, but every value is finite
+        grads = [np.array([1.0, 1e200]), None]
+        monkeypatch.setattr(train_module, "_loss_and_gradients", lambda model, x, y: 1.5)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(train_module._gradient_norm(model_with_gradients(grads)))
+        assert train_module._checked_step(model_with_gradients(grads), None, None, 7) == 1.5
+
+    def test_non_finite_gradient_still_stops_the_step(self, monkeypatch):
+        grads = [np.array([1e200, np.inf])]
+        monkeypatch.setattr(train_module, "_loss_and_gradients", lambda model, x, y: 1.5)
+        with pytest.raises(NumericError, match=r"^step 7: the loss or the gradient norm"):
+            train_module._checked_step(model_with_gradients(grads), None, None, 7)
+
 
 def test_sample_batch_is_slices_of_the_corpus():
     corpus = Corpus(train=Rng(75).randint_array(256, 1000).astype(np.uint8), validation=None)

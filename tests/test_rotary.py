@@ -15,7 +15,6 @@ from rope_kit.rotary import (
     complex_rope_score_2d,
     dense_rotation_matrix,
     rope_score,
-    rotate_pairs,
 )
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -118,24 +117,22 @@ class TestThetaSets:
 
 
 class TestEncoderTables:
-    def test_pairwise_duplication(self):
+    def test_one_phase_per_pair(self):
         enc = RotaryEncoder(8)
-        cos, sin = enc.rows(21)
+        phases = enc.rows(21)
+        assert phases.shape == (21, 4) and phases.dtype == np.complex128
         for m in (0, 1, 7, 20):
             for i in range(4):
-                expected = math.cos(m * enc.thetas[i])
-                assert cos[m, 2 * i] == cos[m, 2 * i + 1] == pytest.approx(expected, abs=0)
-                assert sin[m, 2 * i] == sin[m, 2 * i + 1]
+                angle = m * enc.thetas[i]
+                assert phases[m, i] == complex(math.cos(angle), math.sin(angle))
 
     def test_memo_matches_fresh_tables(self):
         enc = RotaryEncoder(8)
         for seq in (20, 4, 20):
-            cos, sin = enc.rows(seq)
-            fresh_cos, fresh_sin = RotaryEncoder(8).rows(seq)
-            assert cos.shape == (seq, 8)
-            np.testing.assert_array_equal(cos, fresh_cos)
-            np.testing.assert_array_equal(sin, fresh_sin)
-            assert not cos.flags.writeable and not sin.flags.writeable
+            phases = enc.rows(seq)
+            assert phases.shape == (seq, 4)
+            assert phases.tobytes() == RotaryEncoder(8).rows(seq).tobytes()
+            assert not phases.flags.writeable
 
     def test_far_position_allocates_nothing(self):
         enc = RotaryEncoder(128)
@@ -201,6 +198,20 @@ class TestApplyRotary:
         assert out.dtype == expected.dtype
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_rows_match_each_row_alone(self, dtype):
+        # training rotates a strided split-heads view; a sequence shorter
+        # than the context and a stacked theta set lean on the same property
+        enc = RotaryEncoder(16)
+        merged = Rng(15).normal_array((2, 9, 2 * 16)).astype(dtype)
+        split = merged.reshape(2, 9, 2, 16).transpose(0, 2, 1, 3)
+        outs = [apply_rotary_rows(enc, Tensor(x)).data for x in (split, split.copy())]
+        assert not split.flags.c_contiguous
+        assert outs[0].tobytes() == outs[1].tobytes()
+        for index in np.ndindex(split.shape[:-1]):
+            alone = apply_rotary(enc, Tensor(split[index]), index[-1]).data
+            assert outs[0][index].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("wrap", [np.asarray, Tensor])
     def test_rows_variant_empty_sequence(self, wrap):
         out = apply_rotary_rows(RotaryEncoder(4), wrap(np.ones((3, 0, 4))))
@@ -253,10 +264,6 @@ class TestApplyRotary:
             [p], Rng(6), samples=10,
         )
         assert err < 1e-8
-
-    def test_rotate_pairs_layout(self):
-        out = rotate_pairs(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(out, [-2.0, 1.0, -4.0, 3.0])
 
 
 class TestDenseMatrix:

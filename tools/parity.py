@@ -20,12 +20,14 @@ JSON file holding a sha256 of each artifact:
 - for each of those checkpoints, a ``<run>.reload`` digest of the file
   that checkout's ``load_checkpoint`` and ``save_checkpoint`` write back
   from it, run in a subprocess like the commands: equal to the run's
-  ``.checkpoint`` digest when the reader returns every array bit for bit;
+  ``.checkpoint`` digest when the reader returns every array bit for bit,
+  and ``failed: exit N: <last stderr line>`` when the subprocess fails;
 - for each config in ``RUNS``, a ``<run>.resume`` digest of the
   checkpoint of a run trained ``DIGEST_STEPS // 2`` steps and then
   continued by that checkout's ``harness.resume`` up to ``DIGEST_STEPS``,
   in a subprocess: equal to the run's ``.checkpoint`` digest when resume
-  is bit-exact;
+  is bit-exact, and a ``failed: ...`` line as for ``.reload`` when the
+  subprocess fails;
 - a ``<run>.threads2`` digest of the checkpoint of the ``THREADS2`` run
   repeated with two BLAS threads: equal to its ``.checkpoint`` digest
   when training does not depend on the BLAS thread count, which the row
@@ -139,15 +141,23 @@ class Probe:
                               capture_output=True)
         return f"exit {proc.returncode}\n".encode() + proc.stdout
 
+    def python(self, code: str, *args: str) -> str | None:
+        """Run ``code`` with ``args`` in this checkout; ``None`` when it exits
+        0, else ``failed: exit N: <its last stderr line>``."""
+        proc = subprocess.run([sys.executable, "-c", code, *args], cwd=self.work,
+                              env=self.env, capture_output=True)
+        if proc.returncode == 0:
+            return None
+        last = (proc.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
+        return f"failed: exit {proc.returncode}: {last}"
+
     def reload(self, checkpoint: Path) -> str:
         """Digest of ``checkpoint`` once this checkout loads it and saves it back."""
         again = checkpoint.with_suffix(".reload.ckpt")
         code = ("import sys; from rope_kit.harness import load_checkpoint, save_checkpoint; "
                 "model, adam, rng, _ = load_checkpoint(sys.argv[1]); "
                 "save_checkpoint(sys.argv[2], model, adam, rng)")
-        subprocess.run([sys.executable, "-c", code, str(checkpoint), str(again)], cwd=self.work,
-                       env=self.env, capture_output=True)
-        return file_digest(again)
+        return self.python(code, str(checkpoint), str(again)) or file_digest(again)
 
     def resume(self, name: str, flags: tuple) -> str:
         """Digest of the checkpoint of ``name`` trained ``DIGEST_STEPS // 2``
@@ -158,10 +168,9 @@ class Probe:
                 "steps, corpus, metrics, checkpoint, batch_size = sys.argv[1:]; "
                 "resume(checkpoint, TrainConfig(int(steps), corpus, metrics, checkpoint, "
                 "batch_size=int(batch_size)))")
-        subprocess.run([sys.executable, "-c", code, str(DIGEST_STEPS), str(self.corpus),
-                        str(metrics), str(checkpoint), batch_size], cwd=self.work,
-                       env=self.env, capture_output=True)
-        return file_digest(checkpoint)
+        return (self.python(code, str(DIGEST_STEPS), str(self.corpus), str(metrics),
+                            str(checkpoint), batch_size)
+                or file_digest(checkpoint))
 
     def train(self, name: str, flags: tuple, steps: int, precision: int,
               threads: int = 1) -> tuple[Path, Path]:
