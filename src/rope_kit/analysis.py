@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .numerics import Rng
-from .rotary import RotaryEncoder, dense_rotation_matrix, rope_score
+from .rotary import RotaryEncoder, apply_rotary, rope_score
 
 __all__ = [
     "DecayCurve",
@@ -234,6 +234,13 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _rotate_trials(enc: RotaryEncoder, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(len(positions), trials, 2): trial t's 2-vector ``x[t]`` turned by
+    pair t of ``enc`` to each position."""
+    rows = np.broadcast_to(x.reshape(-1), (len(positions), x.size))
+    return apply_rotary(enc, rows, positions).reshape(len(positions), *x.shape)
+
+
 def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
     """Check the 2-d rotation construction on random projections.
 
@@ -242,9 +249,10 @@ def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
     the modulus never depends on position, the phase grows as m * theta
     (mod 2pi) for m = 0..16, and query/key scores over a position grid
     collapse onto a function of the offset alone. Trials are drawn
-    TRIAL_CHUNK at a time; one encoder holds a chunk's thetas as a
-    (size, 1) set, so one stacked dense-matrix call rotates every trial to
-    every position and one score call covers every trial's grid.
+    TRIAL_CHUNK at a time. The rotation is block-diagonal, so a chunk's
+    trials are the coordinate pairs of one encoder with one theta per
+    trial, and one ``apply_rotary`` call rotates every trial to every
+    position.
     """
     report = Derivation2DReport()
     positions = np.arange(17)
@@ -255,18 +263,18 @@ def derivation_oracle_2d(rng: Rng, trials: int) -> Derivation2DReport:
                             rng.normal_array((size, 2))) for _ in range(2))
         thetas = np.array([0.1 + 1.9 * rng.uniform() for _ in range(size)])  # nonzero
 
-        enc = RotaryEncoder(2, thetas[:, None])
-        rotated = (dense_rotation_matrix(enc, positions) @ q0[..., None])[..., 0]  # [m, t, xy]
-        rotated = rotated.swapaxes(0, 1)  # [t, m, xy]
-        scores = rope_score(q0, k0, grid[:, None], grid, enc).transpose(2, 0, 1)  # [t, m, n]
+        enc = RotaryEncoder(2 * size, thetas)
+        rotated = _rotate_trials(enc, q0, positions)  # [m, t, xy]; positions[m] == m
+        # [t, m, n]: each trial's score is the dot product within its own pair.
+        scores = np.einsum("mtc,ntc->tmn", rotated[grid], _rotate_trials(enc, k0, grid))
 
-        z, z0 = rotated[..., 0] + 1j * rotated[..., 1], q0[:, :1] + 1j * q0[:, 1:]
-        drift = _wrap_angle(np.angle(z) - np.angle(z0) - positions * thetas[:, None])
+        z, z0 = rotated[..., 0] + 1j * rotated[..., 1], q0[:, 0] + 1j * q0[:, 1]
+        drift = _wrap_angle(np.angle(z) - np.angle(z0) - positions[:, None] * thetas)
         # Each diagonal of the (m, n) grid is one offset n - m.
         spread = max(np.ptp(np.diagonal(scores, offset, 1, 2), axis=1).max()
                      for offset in range(1 - len(grid), len(grid)))
         report.max_initial_residual = max(report.max_initial_residual,
-                                          float(np.abs(rotated[:, 0] - q0).max()))
+                                          float(np.abs(rotated[0] - q0).max()))
         report.max_radial_residual = max(report.max_radial_residual,
                                          float(np.abs(np.abs(z) - np.abs(z0)).max()))
         report.max_angular_residual = max(report.max_angular_residual,

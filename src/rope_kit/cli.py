@@ -1,8 +1,9 @@
 """Command-line surface: verify, decay, bench, train, compare.
 
 Exit codes are a contract: 0 when everything requested passed, 1 when a
-check failed, 2 for usage or data errors. Every command prints its seed
-so any artifact can be reproduced from its own output.
+check failed, 2 for usage or data errors. The commands that draw random
+numbers (verify, bench, train) print their seed, so any artifact can be
+reproduced from its own output.
 """
 
 from __future__ import annotations
@@ -239,7 +240,6 @@ def _run_suite(name, fn, rng, dims, trials):
 def cmd_decay(args) -> int:
     if args.dim % 2 != 0 or args.dim < 2:
         raise ConfigurationError(f"--dim must be even and >= 2, got {args.dim}")
-    print(f"seed: {args.seed}")
     curve = analysis.decay_curve(args.dim, args.max_dist)
     analysis.write_decay_csv(curve, args.out)
     print(f"wrote {len(curve.values)} rows to {args.out}")
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--max-dist", type=int, default=250)
     p.add_argument("--out", default="decay.csv")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("bench", help="dense vs sparse rotation timing")

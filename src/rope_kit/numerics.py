@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 
 import numpy as np
 
@@ -86,6 +87,14 @@ _U64_SHIFTS = tuple(_u64(k) for k in (30, 27, 31))
 _U64_11 = _u64(11)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a float is refused, even a whole one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _mix64(z: int) -> int:
     """splitmix64 output function (Steele, Lea & Flood 2014)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
@@ -125,6 +134,7 @@ class Rng:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is < n / 2**64."""
+        n = _integer(n, "randint upper bound")
         if n <= 0:
             raise ConfigurationError(f"randint upper bound must be positive, got {n}")
         return self.next_u64() % n
@@ -135,6 +145,7 @@ class Rng:
         The result and the final ``state`` are bit-identical to the scalar
         calls. ``n`` is at most 2**63, so every value fits in an int64.
         """
+        n, size = _integer(n, "randint_array bound"), _integer(size, "randint_array size")
         if not 1 <= n <= 2**63:
             raise ConfigurationError(f"randint_array bound must be in [1, 2**63], got {n}")
         if size < 0:
@@ -157,8 +168,9 @@ class Rng:
         """
         if not np.iterable(shape):
             shape = (shape,)
+        shape = tuple(_integer(n, "normal_array dimension") for n in shape)
         if any(n < 0 for n in shape):
-            raise ConfigurationError(f"normal_array shape {tuple(shape)} has a negative dimension")
+            raise ConfigurationError(f"normal_array shape {shape} has a negative dimension")
         size = int(math.prod(shape))
         z = self._u64_block(2 * size)
         z >>= _U64_11
@@ -532,11 +544,13 @@ def ffn(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
+    a = _as_tensor(a)
     data = np.swapaxes(a.data, -1, -2)
     return tape_op(data, (a,), lambda g: (np.swapaxes(g, -1, -2),), name="transpose")
 
 
 def permute(a: Tensor, axes: tuple) -> Tensor:
+    a = _as_tensor(a)
     inverse = tuple(np.argsort(axes))
     return tape_op(
         a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),), name="permute"
@@ -544,16 +558,19 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
+    a = _as_tensor(a)
     old = a.data.shape
     return tape_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),), name="reshape")
 
 
 def tensor_sum(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
     data = np.asarray(a.data.sum())
     return tape_op(data, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), name="sum")
 
 
 def mean(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
     n = a.data.size
     data = np.asarray(a.data.mean())
     return tape_op(
@@ -613,12 +630,14 @@ def _gelu_backward(g: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit (tanh approximation); smooth everywhere."""
+    a = _as_tensor(a)
     x = a.data
     data, t = _gelu_forward(x)
     return tape_op(data, (a,), lambda g: (_gelu_backward(g, x, t),), name="gelu")
 
 
 def exp(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
     with np.errstate(over="ignore"):  # overflow becomes NumericError in tape_op
         data = np.exp(a.data)
 
@@ -635,6 +654,7 @@ def elu_plus_one(a: Tensor) -> Tensor:
     and NaN where x is NaN, so ``neg + max(x, 0)`` is the select
     ``x + 1 if x > 0 else neg`` and ``neg`` its derivative, bit for bit,
     without a select."""
+    a = _as_tensor(a)
     x = a.data
     neg = np.exp(np.minimum(x, 0.0))
     data = neg + np.maximum(x, 0.0)

@@ -60,11 +60,8 @@ class RotaryEncoder:
 
     ``thetas`` is the frequency set Theta, one per coordinate pair; by
     default the geometric ladder theta_i = 10000^(-2(i-1)/d), i = 1..d/2.
-    Every theta must be finite; the set is stored as a read-only float64
-    array. Leading axes, Theta of shape (..., d/2), hold a batch of sets:
-    :func:`dense_rotation_matrix` and :func:`rope_score` then return one
-    result per set, with Theta's leading axes after the position axes;
-    the row rotations take one set only. The rotation at position m is
+    Theta has shape (d/2,) and every theta must be finite; the set is
+    stored as a read-only float64 array. The rotation at position m is
     the closed form m * theta_i, so explicit positions get their phases
     computed directly and no table has to cover them.
     ``rows(seq)`` serves a whole sequence 0..seq-1 and keeps the phase
@@ -78,7 +75,7 @@ class RotaryEncoder:
         if thetas is None:
             thetas = BASE ** (-2.0 * np.arange(dim // 2, dtype=np.float64) / dim)
         thetas = np.array(thetas, dtype=np.float64)
-        if thetas.shape[-1:] != (dim // 2,):
+        if thetas.shape != (dim // 2,):
             raise ConfigurationError(f"dim {dim} needs {dim // 2} thetas, got {thetas.shape}")
         if not np.isfinite(thetas).all():
             raise ConfigurationError(f"thetas must be finite, got {thetas}")
@@ -91,17 +88,9 @@ class RotaryEncoder:
         """Read-only (seq, dim/2) complex128 phases e^{i m theta_i} for
         positions m = 0..seq-1."""
         if self._rows is None or len(self._rows) != seq:
-            _single_set(self)
             self._rows = _phases(self, np.arange(seq))
             self._rows.setflags(write=False)
         return self._rows
-
-
-def _single_set(enc: RotaryEncoder) -> None:
-    if enc.thetas.ndim != 1:
-        raise ConfigurationError(
-            f"rotating rows needs one theta set, got thetas of shape {enc.thetas.shape}"
-        )
 
 
 def _shape(x) -> tuple[int, ...]:
@@ -118,7 +107,6 @@ def apply_rotary(enc: RotaryEncoder, x, positions):
     or any array-like (plain numpy in, numpy out). Norms are preserved
     exactly up to rounding.
     """
-    _single_set(enc)
     positions = _integer_positions(positions)
     rows = _shape(x)[-2:-1]
     if positions.ndim and positions.shape != rows:
@@ -157,8 +145,7 @@ def dense_rotation_matrix(enc: RotaryEncoder, m) -> np.ndarray:
 
     Negative m is allowed and equals the transpose of the matrix at -m.
     An integer array m gives the stack of shape (*m.shape, d, d), each
-    slice bit-identical to the call at that position; Theta's leading
-    axes follow m's.
+    slice bit-identical to the call at that position.
     """
     d = enc.dim
     angles = np.multiply.outer(_integer_positions(m), enc.thetas)
@@ -178,7 +165,6 @@ def rope_score(q, k, m, n, enc: RotaryEncoder):
     Equals q^T R_{n-m} k, so it depends on the positions only through
     n - m (shift invariance). q, k are (..., dim) and m, n ints or integer
     arrays broadcast against (...); a float when the result is a scalar.
-    Theta's leading axes follow the positions' axes in that broadcast.
     """
     qa, ka = as_array(q), as_array(k)
     if qa.shape[-1:] != (enc.dim,) or ka.shape[-1:] != (enc.dim,):

@@ -256,21 +256,27 @@ class TestDerivation2D:
         for m in (1, 3, 7):
             assert abs(np.linalg.norm(dense_rotation_matrix(enc, m) @ w @ x) - base) < 1e-12
 
-    @pytest.mark.parametrize("target", ["rope_score", "dense_rotation_matrix"])
+    @pytest.mark.parametrize("target", ["rope_score", "dense_rotation_matrix", "apply_rotary"])
     def test_oracle_checks_the_library_kernels(self, monkeypatch, target):
         from rope_kit import analysis, rotary
 
-        original = getattr(rotary, target)
+        # The oracle's rotation, realised by each library kernel. Through
+        # rope_score, entry j of R_m x is the score of x at m against e_j at 0.
+        def rotation(enc, x, positions):
+            if target == "rope_score":
+                return rotary.rope_score(x[:, None, :], np.eye(enc.dim),
+                                         positions[:, None], 0, enc)
+            if target == "dense_rotation_matrix":
+                return np.einsum("mij,mj->mi", rotary.dense_rotation_matrix(enc, positions), x)
+            return rotary.apply_rotary(enc, x, positions)
 
-        # Each fault grows with position, as a wrong rotation would.
-        def skewed_score(q, k, m, n, enc):
-            return original(q, k, m, n, enc) + 1e-6 * np.asarray(m)
+        # The fault grows with position, as a wrong rotation would.
+        def skewed_rotation(enc, x, positions):
+            return rotation(rotary.RotaryEncoder(enc.dim, enc.thetas + 1e-6), x, positions)
 
-        def skewed_matrix(enc, m):
-            return original(rotary.RotaryEncoder(enc.dim, enc.thetas + 1e-6), m)
-
-        replacement = skewed_score if target == "rope_score" else skewed_matrix
-        monkeypatch.setattr(analysis, target, replacement)
+        monkeypatch.setattr(analysis, "apply_rotary", rotation)
+        assert derivation_oracle_2d(Rng(37), trials=20).passed
+        monkeypatch.setattr(analysis, "apply_rotary", skewed_rotation)
         report = derivation_oracle_2d(Rng(37), trials=20)
         assert not report.passed
 

@@ -137,6 +137,13 @@ class TestDecayCommand:
         assert run_cli("decay", "--dim", "4", "--max-dist", "5",
                        "--out", str(tmp_path / "missing" / "x.csv")) == 2
 
+    def test_seed_is_not_an_option(self, tmp_path):
+        # The curve draws no random numbers, so there is no seed to set.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("decay", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestBenchCommand:
     def test_outputs_agree_and_report(self, capsys):

@@ -91,7 +91,15 @@ class TestRng:
         assert draws.shape == (0,) and draws.dtype == np.int64
         assert rng.state == before
 
-    @pytest.mark.parametrize("n, size", [(0, 4), (-5, 4), (2**63 + 1, 4), (2**64, 4), (513, -1)])
+    def test_randint_non_integer_bound_keeps_state(self):
+        rng = Rng(3)
+        before = rng.state
+        with pytest.raises(ConfigurationError):
+            rng.randint(5.5)
+        assert rng.state == before
+
+    @pytest.mark.parametrize("n, size", [(0, 4), (-5, 4), (2**63 + 1, 4), (2**64, 4), (513, -1),
+                                         (5.5, 4), (513, 2.0)])
     def test_randint_array_bad_arguments_keep_state(self, n, size):
         rng = Rng(3)
         before = rng.state
@@ -99,7 +107,7 @@ class TestRng:
             rng.randint_array(n, size)
         assert rng.state == before
 
-    @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4])
+    @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4, (2.5,), 2.5])
     def test_normal_array_negative_dimension_keeps_state(self, shape):
         rng = Rng(3)
         before = rng.state
@@ -219,6 +227,19 @@ class TestTensor:
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
             (t + t).backward()
+
+    @pytest.mark.parametrize(
+        "op",
+        [tensor_sum, mean, exp, elu_plus_one, gelu, transpose,
+         lambda a: permute(a, (1, 0)), lambda a: reshape(a, (6,))],
+        ids=["tensor_sum", "mean", "exp", "elu_plus_one", "gelu", "transpose", "permute",
+             "reshape"],
+    )
+    def test_array_input_is_coerced(self, op):
+        x = Rng(47).normal_array((2, 3))
+        out = op(x)
+        assert isinstance(out, Tensor)
+        assert out.data.tobytes() == op(Tensor(x)).data.tobytes()
 
 
 class TestMatmul:

@@ -75,42 +75,28 @@ class TestSchedule:
 
 
 class TestThetaSets:
-    """Theta of shape (..., dim/2): one rotation per set, in one call."""
+    """One theta per coordinate pair: pair t turns by m theta_t alone."""
 
-    THETAS = np.array([0.1, 0.77, 1.3, 2.0, 0.1 + 1.9 * 0.999])
-
-    def test_dense_matrix_stacks_single_set_calls(self):
-        positions = np.arange(17)
-        stacked = dense_rotation_matrix(RotaryEncoder(2, self.THETAS[:, None]), positions)
-        assert stacked.shape == (17, len(self.THETAS), 2, 2)
-        for t, theta in enumerate(self.THETAS):
-            single = dense_rotation_matrix(RotaryEncoder(2, [theta]), positions)
-            assert stacked[:, t].tobytes() == single.tobytes()
-
-    def test_rope_score_stacks_single_set_calls(self):
+    @pytest.mark.parametrize("pairs", [2, 7, 250])
+    def test_each_pair_rotates_as_its_own_2d_encoder(self, pairs):
+        # R_{Theta,m} is block-diagonal, so S random 2-d rotations are the S
+        # pairs of one 2S-dim rotation; derivation_oracle_2d rests on this.
         rng = Rng(41)
-        q, k = rng.normal_array((len(self.THETAS), 2)), rng.normal_array((len(self.THETAS), 2))
-        grid = np.arange(0, 9, 2)
-        enc = RotaryEncoder(2, self.THETAS[:, None])
-        scores = rope_score(q, k, grid[:, None], grid, enc)
-        assert scores.shape == (5, 5, len(self.THETAS))
-        for t, theta in enumerate(self.THETAS):
-            single = rope_score(q[t], k[t], grid[:, None], grid, RotaryEncoder(2, [theta]))
-            assert scores[..., t].tobytes() == single.tobytes()
+        thetas = np.array([0.1 + 1.9 * rng.uniform() for _ in range(pairs)])
+        x = rng.normal_array((pairs, 2))
+        positions = np.arange(17)
+        rows = np.broadcast_to(x.reshape(-1), (len(positions), 2 * pairs))
+        rotated = apply_rotary(RotaryEncoder(2 * pairs, thetas), rows, positions)
+        rotated = rotated.reshape(len(positions), pairs, 2)
+        for t, theta in enumerate(thetas):
+            enc = RotaryEncoder(2, [theta])
+            alone = apply_rotary(enc, np.broadcast_to(x[t], (len(positions), 2)), positions)
+            assert rotated[:, t].tobytes() == alone.tobytes()
+            dense = dense_rotation_matrix(enc, positions) @ x[t]
+            np.testing.assert_allclose(rotated[:, t], dense, rtol=0, atol=1e-15)
 
-    def test_rotating_rows_needs_one_set(self):
-        enc = RotaryEncoder(4, [[1.0, 0.1], [0.5, 0.05]])
-        x = np.ones((3, 4))
-        with pytest.raises(ConfigurationError):
-            apply_rotary(enc, x, 1)
-        with pytest.raises(ConfigurationError):
-            apply_rotary_rows(enc, x)
-        with pytest.raises(ConfigurationError):
-            apply_rotary_rows(enc, Tensor(x))
-        with pytest.raises(ConfigurationError):
-            enc.rows(3)
-
-    @pytest.mark.parametrize("thetas", [[[1.0, math.nan]], [[1.0], [0.5]], np.ones((2, 3, 1))])
+    @pytest.mark.parametrize("thetas", [[[1.0, math.nan]], [[1.0], [0.5]], np.ones((2, 3, 1)),
+                                        [[1.0, 0.1], [0.5, 0.05]]])
     def test_bad_sets_rejected(self, thetas):
         with pytest.raises(ConfigurationError):
             RotaryEncoder(4, thetas)

@@ -13,6 +13,12 @@ JSON file holding a sha256 of each artifact:
 - the ``verify`` tables at seeds 0, 42 and 2104, and the ``verify.dims``
   table of ``verify --seed 0 --dims 8,16 --trials 50``, with suite times
   masked;
+- for each of those seeds s, an ``analysis.seed<s>`` digest of the
+  ``repr`` of ``abel_identity_check(Rng(s), 1000, (2, 4, 64, 128))`` and
+  of ``derivation_oracle_2d(Rng(s), 1000)``, taken in a subprocess of
+  that checkout: the ``verify`` table prints these residuals to 1-3
+  digits, the ``repr`` to the last bit. A failed subprocess is recorded
+  as for ``.reload`` below;
 - the metrics and checkpoint bytes of a 15-step float32 run of each
   config in ``RUNS``;
 - the stdout, metrics and checkpoint of a default-settings
@@ -151,6 +157,17 @@ class Probe:
         last = (proc.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
         return f"failed: exit {proc.returncode}: {last}"
 
+    def analysis(self, seed: int) -> str:
+        """Digest of the full-precision Abel and 2-d derivation reports at ``seed``."""
+        out = self.work / f"analysis.seed{seed}.txt"
+        code = ("import sys; from pathlib import Path; "
+                "from rope_kit.analysis import abel_identity_check, derivation_oracle_2d; "
+                "from rope_kit.numerics import Rng; seed = int(sys.argv[1]); "
+                "abel = abel_identity_check(Rng(seed), 1000, (2, 4, 64, 128)); "
+                "oracle = derivation_oracle_2d(Rng(seed), 1000); "
+                "Path(sys.argv[2]).write_text(f'{abel!r}\\n{oracle!r}\\n')")
+        return self.python(code, str(seed), str(out)) or file_digest(out)
+
     def reload(self, checkpoint: Path) -> str:
         """Digest of ``checkpoint`` once this checkout loads it and saves it back."""
         again = checkpoint.with_suffix(".reload.ckpt")
@@ -197,6 +214,7 @@ def probe(tree: Path) -> dict:
         for seed in VERIFY_SEEDS:
             table = p.run("verify", "--seed", str(seed))
             digests[f"verify.seed{seed}"] = sha256(SUITE_TIME.sub(b"[time]", table))
+            digests[f"analysis.seed{seed}"] = p.analysis(seed)
         table = p.run("verify", "--seed", "0", "--dims", "8,16", "--trials", "50")
         digests["verify.dims"] = sha256(SUITE_TIME.sub(b"[time]", table))
         for name, flags in RUNS.items():
