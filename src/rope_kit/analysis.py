@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .numerics import Rng
+from .numerics import Rng, _integer
 from .rotary import RotaryEncoder, apply_rotary, rope_score
 
 __all__ = [
@@ -54,6 +54,7 @@ DISTANCE_CHUNK = 1024
 
 def trial_chunks(trials: int) -> list[int]:
     """Batch sizes that add up to ``trials`` (>= 1), each at most TRIAL_CHUNK."""
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     return [min(TRIAL_CHUNK, trials - start) for start in range(0, trials, TRIAL_CHUNK)]
@@ -81,6 +82,7 @@ class DecayCurve:
 def decay_curve(dim: int, max_distance: int) -> DecayCurve:
     """The curve over r = 0..max_distance, DISTANCE_CHUNK distances at a
     time, so its memory does not grow with ``max_distance``."""
+    max_distance = _integer(max_distance, "max_distance")
     if max_distance < 0:
         raise ConfigurationError(f"max_distance must be >= 0, got {max_distance}")
     thetas = RotaryEncoder(dim).thetas

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numerics import Tensor, _as_tensor
+from .numerics import Tensor, _as_tensor, _integer
 
 __all__ = ["sinusoidal_encoding", "additive_inject"]
 
@@ -25,6 +25,7 @@ def sinusoidal_encoding(position, dim: int) -> np.ndarray:
     ``position`` is an int k, or an array of positions giving one vector
     per entry, of shape (*position.shape, dim).
     """
+    dim = _integer(dim, "sinusoidal dim")
     if dim < 2 or dim % 2 != 0:
         raise ConfigurationError(f"sinusoidal dim must be even and >= 2, got {dim}")
     position = np.asarray(position)

@@ -8,14 +8,12 @@ run's own metrics file appends to it, so the file ends up byte-identical
 to that of an uninterrupted run.
 
 A step's loss and backward run with the tape's finiteness checks off.
-The step then checks its loss and its global gradient norm, summed in
-float64, or, if a finite float64 entry above 1e154 overflows that sum,
-each gradient. If either is not finite, or the pass raised ``NumericError``,
-the step is replayed on the same batch with the checks on, as they are
-outside this pass, so that every forward output and every gradient is
-checked; the replay's error, prefixed with the step, is raised, and the
-parameters, the Adam moments and the metrics rows of the earlier steps
-are left as they were.
+The step then checks that its loss and each gradient are finite. If one
+is not, or the pass raised ``NumericError``, the step is replayed on the
+same batch with the checks on, as they are outside this pass, so that
+every forward output and every gradient is checked; the replay's error,
+prefixed with the step, is raised, and the parameters, the Adam moments
+and the metrics rows of the earlier steps are left as they were.
 """
 
 from __future__ import annotations
@@ -175,19 +173,6 @@ def _loss_and_gradients(model: ByteLM, x: np.ndarray, y: np.ndarray) -> float:
     return loss.item()
 
 
-def _gradient_norm(model: ByteLM) -> float:
-    """The global gradient norm, each parameter's squares summed in float64
-    by one BLAS dot product. Above 10 000 floats OpenBLAS splits that sum
-    across its threads, so the last bits depend on the thread count; the
-    norm is only tested for finiteness."""
-    total = 0.0
-    for p in model.params:
-        if p.grad is not None:
-            g64 = p.grad.astype(np.float64, copy=False).ravel()
-            total += float(g64 @ g64)
-    return math.sqrt(total)
-
-
 def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> float:
     """The step's loss, with finite gradients in the parameters, or a
     ``NumericError`` naming the step (see the module docstring)."""
@@ -195,8 +180,8 @@ def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> flo
         try:
             with _unchecked():
                 value = _loss_and_gradients(model, x, y)
-            if math.isfinite(value) and (math.isfinite(_gradient_norm(model)) or all(
-                    p.grad is None or np.isfinite(p.grad).all() for p in model.params)):
+            if math.isfinite(value) and all(
+                    p.grad is None or np.isfinite(p.grad).all() for p in model.params):
                 return value
         except NumericError:
             pass
@@ -204,7 +189,7 @@ def _checked_step(model: ByteLM, x: np.ndarray, y: np.ndarray, step: int) -> flo
             _loss_and_gradients(model, x, y)
         except NumericError as err:
             raise NumericError(f"step {step}: {err}") from err
-    raise NumericError(f"step {step}: the loss or the gradient norm is not finite")
+    raise NumericError(f"step {step}: the loss or a gradient is not finite")
 
 
 def _run_steps(model: ByteLM, adam: AdamState, rng: Rng, corpus: Corpus,

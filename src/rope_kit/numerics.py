@@ -8,7 +8,7 @@ output for NaN/Inf and every backward checks each gradient it hands a
 parent, raising ``NumericError`` that names the op (``"<op> produced
 non-finite values"``, ``"<op> backward produced non-finite values"``)
 instead of letting bad values propagate. Only the first pass of a
-training step runs with them off: it checks its loss and gradient norm
+training step runs with them off: it checks its loss and each gradient
 once, and a step that fails that check is run again with them on, so
 that its error names the op and the direction (see ``harness.train``).
 Verification code runs in float64; training may use float32.
@@ -116,6 +116,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        seed = _integer(seed, "Rng seed")
         self.seed = seed & _MASK64
         self._state = seed & _MASK64
 
@@ -205,6 +206,7 @@ class Rng:
 
     def spawn(self, stream: int) -> "Rng":
         """Derive an independent child stream; depends only on the seed."""
+        stream = _integer(stream, "spawn stream")
         return Rng(_mix64((self.seed + (stream + 1) * _GAMMA) & _MASK64))
 
     @property
@@ -827,6 +829,7 @@ def grad_check(f, params: list[Parameter], rng: Rng, samples: int = 25) -> float
     Parameters must be float64: the tolerance is meaningless in float32.
     ``samples`` must be at least 1, or nothing would be compared.
     """
+    samples = _integer(samples, "grad_check samples")
     if samples < 1:
         raise ConfigurationError(f"grad_check needs samples >= 1, got {samples}")
     for p in params:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .numerics import Tensor, as_array, tape_op
+from .numerics import Tensor, _integer, as_array, tape_op
 
 __all__ = [
     "RotaryEncoder",
@@ -70,6 +70,7 @@ class RotaryEncoder:
     """
 
     def __init__(self, dim: int, thetas=None):
+        dim = _integer(dim, "rotary dim")
         if dim < 2 or dim % 2 != 0:
             raise ConfigurationError(f"rotary dim must be even and >= 2, got {dim}")
         if thetas is None:

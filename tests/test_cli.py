@@ -200,6 +200,29 @@ class TestTrainCommand:
         assert "parameters:" in out
         assert "final loss" in out
 
+    @pytest.mark.filterwarnings("ignore:overflow")  # the overflow IS the scenario
+    @pytest.mark.parametrize("lr, kernel, message", [
+        ("1e12", "softmax", "step 2: softmax_attention scores produced non-finite values"),
+        ("1e3", "linear-elu", "step 2: linear attention denominator is not strictly positive"),
+    ], ids=["softmax", "linear-elu"])
+    def test_divergence_exits_with_a_numeric_error(self, tmp_path, small_corpus, capsys,
+                                                    lr, kernel, message):
+        # The softmax run stops in the replay, which names the op; the
+        # linear-elu run stops in the unchecked pass itself.
+        metrics = tmp_path / "run.csv"
+        ckpt = tmp_path / "run.ckpt"
+        code = run_cli(
+            "train", "--corpus", str(small_corpus), "--steps", "5",
+            "--d-model", "16", "--heads", "2", "--layers", "1", "--context", "16",
+            "--batch-size", "2", "--lr", lr, "--attention", kernel,
+            "--metrics", str(metrics), "--checkpoint", str(ckpt),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        lines = metrics.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == "step,loss" and lines[1].startswith("1,")
+        assert not ckpt.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, small_corpus, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(

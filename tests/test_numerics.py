@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rope_kit import numerics
+from rope_kit import analysis, baselines, numerics, rotary
 from rope_kit.errors import ConfigurationError, DataError, DimensionError, NumericError
 from rope_kit.numerics import (
     Parameter,
@@ -97,6 +97,30 @@ class TestRng:
         with pytest.raises(ConfigurationError):
             rng.randint(5.5)
         assert rng.state == before
+
+    @pytest.mark.parametrize("call, argument", [
+        (lambda: rotary.RotaryEncoder(4.0), "rotary dim"),
+        (lambda: Rng(2.0), "Rng seed"),
+        (lambda: Rng(1.5), "Rng seed"),
+        (lambda: Rng(0).spawn(1.5), "spawn stream"),
+        (lambda: baselines.sinusoidal_encoding(3, 4.0), "sinusoidal dim"),
+        (lambda: analysis.decay_curve(4, 10.0), "max_distance"),
+        (lambda: analysis.trial_chunks(2.5), "trials"),
+        (lambda: grad_check(lambda: tensor_sum(Parameter("w", [3.0])), [], Rng(0), samples=2.5),
+         "grad_check samples"),
+    ], ids=["encoder-dim", "seed-whole", "seed", "spawn", "sinusoidal-dim", "decay-distance",
+            "trial-chunks", "grad-check-samples"])
+    def test_integer_arguments_refuse_floats(self, call, argument):
+        # A float, even a whole one, is refused by name instead of being
+        # carried along or failing later with a bare TypeError.
+        with pytest.raises(ConfigurationError, match=f"^{argument} must be an integer"):
+            call()
+
+    def test_integer_arguments_take_numpy_integers(self):
+        assert rotary.RotaryEncoder(np.int64(4)).dim == 4
+        assert Rng(np.uint32(7)).next_u64() == Rng(7).next_u64()
+        assert Rng(0).spawn(np.int64(1)).next_u64() == Rng(0).spawn(1).next_u64()
+        assert analysis.trial_chunks(np.int32(3)) == [3]
 
     @pytest.mark.parametrize("n, size", [(0, 4), (-5, 4), (2**63 + 1, 4), (2**64, 4), (513, -1),
                                          (5.5, 4), (513, 2.0)])
@@ -835,6 +859,20 @@ class TestGradCheck:
             return mean(softmax_rows(h) * rmsnorm(h, Tensor(np.ones(6))))
 
         assert grad_check(f, [w], Rng(16), samples=20) < 1e-4
+
+    @pytest.mark.parametrize("case", ["column", "row"])
+    def test_broadcast_size_one_axes(self, case):
+        # b (4, 1) and c (1, 8) broadcast along a size-1 axis of their
+        # own rank, so their gradients are summed over it.
+        rng = Rng(17)
+        a = Parameter("a", rng.normal_array((2, 4, 8)))
+        if case == "column":
+            b = Parameter("b", rng.normal_array((4, 1)))
+            params, f = [a, b], lambda: tensor_sum((a + b) * b)
+        else:
+            c = Parameter("c", rng.normal_array((1, 8)))
+            params, f = [a, c], lambda: tensor_sum(a * c + a)
+        assert grad_check(f, params, Rng(18), samples=40) < 1e-6
 
     def test_loss_of_shape_one_by_one(self):
         p = Parameter("w", [[3.0]])

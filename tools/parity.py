@@ -38,6 +38,10 @@ JSON file holding a sha256 of each artifact:
   repeated with two BLAS threads: equal to its ``.checkpoint`` digest
   when training does not depend on the BLAS thread count, which the row
   sums and products of a step go through;
+- for each run in ``DIVERGE``, a ``<run>.lr<lr>.diverge`` digest of a
+  float32 run of that config at a learning rate where it stops with a
+  numeric error: its exit status line, the last line of its stderr, its
+  metrics bytes and whether it left a checkpoint file;
 - the ``bench`` agreement line;
 - the stdout and CSV of a default-settings ``decay`` run;
 - the stdout of ``compare`` over the ``COMPARED`` runs' float64 metrics.
@@ -99,6 +103,11 @@ RUNS = {
 COMPARED = ("ctx64.rope-softmax", "ctx64.shaw-softmax")
 # Repeated with two BLAS threads for its .threads2 digest.
 THREADS2 = "ctx64.rope-softmax"
+# (run, learning rate) pairs whose DIGEST_STEPS-step runs stop at step 2:
+# softmax at 1e12 in the replay, at a forward op; softmax at 1e20 in the
+# replay, at a backward op; linear-elu at 1e3 in the unchecked pass.
+DIVERGE = (("ctx64.rope-softmax", "1e12"), ("ctx64.rope-softmax", "1e20"),
+           ("ctx64.rope-linear-elu", "1e3"))
 # Digests that must equal the run's .checkpoint digest in the same file.
 SAME_AS_CHECKPOINT = (".reload", ".resume", ".threads2")
 DIGEST_STEPS = 15
@@ -128,6 +137,10 @@ def file_digest(path: Path) -> str:
     return sha256(path.read_bytes()) if path.exists() else "missing"
 
 
+def last_line(output: bytes) -> str:
+    return (output.decode(errors="replace").strip().splitlines() or [""])[-1]
+
+
 class Probe:
     """Runs rope-kit commands of one checkout in a scratch directory."""
 
@@ -138,13 +151,16 @@ class Probe:
         self.corpus = work / "corpus.txt"
         self.corpus.write_bytes(corpus_bytes())
 
-    def run(self, *args: str, threads: int = 1) -> bytes:
-        """The command's stdout, prefixed by its exit status, run with
-        ``threads`` BLAS threads."""
+    def command(self, *args: str, threads: int = 1) -> subprocess.CompletedProcess:
+        """Run the command with ``threads`` BLAS threads."""
         code = "import sys; from rope_kit.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run([sys.executable, "-c", code, *args], cwd=self.work,
+        return subprocess.run([sys.executable, "-c", code, *args], cwd=self.work,
                               env=dict(self.env, OPENBLAS_NUM_THREADS=str(threads)),
                               capture_output=True)
+
+    def run(self, *args: str, threads: int = 1) -> bytes:
+        """The command's stdout, prefixed by its exit status."""
+        proc = self.command(*args, threads=threads)
         return f"exit {proc.returncode}\n".encode() + proc.stdout
 
     def python(self, code: str, *args: str) -> str | None:
@@ -154,8 +170,7 @@ class Probe:
                               env=self.env, capture_output=True)
         if proc.returncode == 0:
             return None
-        last = (proc.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
-        return f"failed: exit {proc.returncode}: {last}"
+        return f"failed: exit {proc.returncode}: {last_line(proc.stderr)}"
 
     def analysis(self, seed: int) -> str:
         """Digest of the full-precision Abel and 2-d derivation reports at ``seed``."""
@@ -188,6 +203,18 @@ class Probe:
         return (self.python(code, str(DIGEST_STEPS), str(self.corpus), str(metrics),
                             str(checkpoint), batch_size)
                 or file_digest(checkpoint))
+
+    def diverge(self, name: str, flags: tuple, lr: str) -> str:
+        """Digest of how a float32 ``DIGEST_STEPS``-step run of ``name`` at
+        learning rate ``lr`` stops."""
+        metrics = self.work / f"{name}.lr{lr}.csv"
+        checkpoint = self.work / f"{name}.lr{lr}.ckpt"
+        proc = self.command("train", "--corpus", str(self.corpus), "--steps", str(DIGEST_STEPS),
+                            "--precision", "32", "--lr", lr, "--metrics", str(metrics),
+                            "--checkpoint", str(checkpoint), *flags)
+        return sha256(f"exit {proc.returncode}\n{last_line(proc.stderr)}\n"
+                      f"metrics {file_digest(metrics)}\n"
+                      f"checkpoint exists {checkpoint.exists()}\n".encode())
 
     def train(self, name: str, flags: tuple, steps: int, precision: int,
               threads: int = 1) -> tuple[Path, Path]:
@@ -226,6 +253,8 @@ def probe(tree: Path) -> dict:
             losses[name] = read_losses(p.train(name, flags, LOSS_STEPS, 64)[0])
         _, checkpoint = p.train(THREADS2, RUNS[THREADS2], DIGEST_STEPS, 32, threads=2)
         digests[f"{THREADS2}.threads2"] = file_digest(checkpoint)
+        for name, lr in DIVERGE:
+            digests[f"{name}.lr{lr}.diverge"] = p.diverge(name, RUNS[name], lr)
         stdout = p.run("train", "--corpus", str(p.corpus), "--steps", "2")
         digests["train-defaults.stdout"] = sha256(stdout)
         digests["train-defaults.metrics"] = file_digest(p.work / "train-rope.csv")
